@@ -40,7 +40,7 @@ class Census:
     sets must be non-empty and the operators enforce that.
     """
 
-    __slots__ = ("_members", "_positions")
+    __slots__ = ("_members", "_positions", "_names")
 
     def __init__(self, members: tuple[Location, ...]):
         positions: dict[str, int] = {}
@@ -50,6 +50,7 @@ class Census:
             positions[loc.name] = i
         self._members = members
         self._positions = positions
+        self._names = tuple(positions)
 
     @property
     def members(self) -> tuple[Location, ...]:
@@ -57,7 +58,7 @@ class Census:
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(loc.name for loc in self._members)
+        return self._names
 
     def position(self, name: str) -> int:
         try:

@@ -1,18 +1,28 @@
 """Deterministic in-memory transport with a seeded cooperative scheduler.
 
-Exactly one endpoint task runs at a time; a task hands control back to the
-scheduler whenever it blocks on a receive or finishes.  At every step the
-scheduler picks, from a deterministically ordered list of enabled actions
-(resume a runnable task, or deliver the head of a non-empty pair queue), one
-action using a PRNG derived from the run seed.  Delivery choices are therefore
-a pure function of (seed, send history), per-pair FIFO always holds, and the
-same seed reproduces the same schedule and message log byte for byte.
+Exactly one thread runs at a time, the scheduler or one endpoint task, and
+they pass a baton between them.  Every task owns a binary semaphore (a lock
+created acquired), and so does the scheduler.  To resume a task, the scheduler
+releases that task's lock and waits on its own.  A task that blocks on a
+receive releases the scheduler's lock and waits on its own; a task that
+finishes releases the scheduler's lock and returns.  A step therefore wakes
+exactly one thread, whatever the number of endpoints, and since only the
+baton holder touches the queues, sends and receives need no mutex.
+
+At every step the scheduler picks, from a deterministically ordered list of
+enabled actions (resume a runnable task, or deliver the head of a non-empty
+pair queue), one action using a PRNG derived from the run seed.  The set of
+non-empty pair queues is kept up to date by each send and each delivery, so a
+step sorts that set instead of scanning every ordered pair.  Delivery choices
+are a pure function of (seed, send history), per-pair FIFO always holds, and
+the same seed reproduces the same schedule and message log byte for byte.
 
 A provable stall (every live task blocked, nothing left to deliver) and a
 blown step budget are both flagged as StepBudgetExceeded at the stuck
 endpoints; both signal a deadlock or livelock and are always test failures.
 Purely CPU-bound loops inside one endpoint never yield, so only blocking
-points count as steps.
+points count as steps.  Every task thread has returned by the time `run`
+does; one that has not is a TransportError, never a silent leak.
 """
 
 import random
@@ -24,7 +34,13 @@ from ..errors import StepBudgetExceeded, TransportError
 from ..seeding import derived_seed
 from . import MessageRecord
 
-_SCHEDULER = "<scheduler>"
+_JOIN_TIMEOUT_S = 5.0
+
+
+def _baton() -> threading.Lock:
+    lock = threading.Lock()
+    lock.acquire()
+    return lock
 
 
 class _Envelope:
@@ -36,7 +52,7 @@ class _Envelope:
 
 
 class _Task:
-    __slots__ = ("name", "thread", "state", "blocked_on", "abort", "error")
+    __slots__ = ("name", "thread", "state", "blocked_on", "abort", "error", "baton")
 
     def __init__(self, name: str):
         self.name = name
@@ -45,6 +61,7 @@ class _Task:
         self.blocked_on = None
         self.abort = None  # exception to raise at next activation
         self.error = None
+        self.baton = _baton()  # released by the scheduler to resume this task
 
 
 class _SimHandle:
@@ -68,12 +85,12 @@ class SimNet:
             (s, r) for s in self.names for r in self.names if s != r
         )
         self._pending = {p: deque() for p in self._pairs}
+        self._deliverable: set[tuple[str, str]] = set()  # pairs with pending mail
         self._arrived = {p: deque() for p in self._pairs}
         self._seqs = {p: 0 for p in self._pairs}
         self._rng = random.Random(derived_seed(seed, "scheduler"))
-        self._cv = threading.Condition()
+        self._baton = _baton()  # released by a task to hand control back
         self._clock = 0
-        self._active = _SCHEDULER
         self._tasks: dict[str, _Task] = {}
         self._budget = step_budget
         self._steps = {n: 0 for n in self.names}
@@ -88,7 +105,7 @@ class SimNet:
             raise TransportError(f"unknown location {name!r}")
         return _SimHandle(self, name)
 
-    # -- endpoint side ----------------------------------------------------
+    # -- endpoint side (runs only while the calling task holds the baton) --
 
     def _tick(self) -> int:
         t = self._clock
@@ -96,37 +113,36 @@ class SimNet:
         return t
 
     def _send(self, sender: str, to: str, body: bytes) -> None:
-        with self._cv:
-            if (sender, to) not in self._pending:
-                raise TransportError(f"no route {sender!r} -> {to!r}")
-            seq = self._seqs[(sender, to)]
-            self._seqs[(sender, to)] = seq + 1
-            record = MessageRecord(sender, to, len(body), seq, t_send=self._tick())
-            self.messages.append(record)
-            self._pending[(sender, to)].append(_Envelope(record, body))
+        pair = (sender, to)
+        pending = self._pending.get(pair)
+        if pending is None:
+            raise TransportError(f"no route {sender!r} -> {to!r}")
+        seq = self._seqs[pair]
+        self._seqs[pair] = seq + 1
+        record = MessageRecord(sender, to, len(body), seq, t_send=self._tick())
+        self.messages.append(record)
+        pending.append(_Envelope(record, body))
+        self._deliverable.add(pair)
 
     def _recv(self, receiver: str, frm: str) -> bytes:
-        with self._cv:
-            if (frm, receiver) not in self._arrived:
-                raise TransportError(f"no route {frm!r} -> {receiver!r}")
-            task = self._tasks[receiver]
-            queue = self._arrived[(frm, receiver)]
-            while not queue:
-                task.state = "blocked"
-                task.blocked_on = frm
-                self._active = _SCHEDULER
-                self._cv.notify_all()
-                while self._active != receiver:
-                    self._cv.wait()
-                task.state = "running"
-                task.blocked_on = None
-                if task.abort is not None:
-                    exc = task.abort
-                    task.abort = None
-                    raise exc
-            envelope = queue.popleft()
-            envelope.record.t_recv = self._tick()
-            return envelope.body
+        queue = self._arrived.get((frm, receiver))
+        if queue is None:
+            raise TransportError(f"no route {frm!r} -> {receiver!r}")
+        task = self._tasks[receiver]
+        while not queue:
+            task.state = "blocked"
+            task.blocked_on = frm
+            self._baton.release()
+            task.baton.acquire()
+            task.state = "running"
+            task.blocked_on = None
+            if task.abort is not None:
+                exc = task.abort
+                task.abort = None
+                raise exc
+        envelope = queue.popleft()
+        envelope.record.t_recv = self._tick()
+        return envelope.body
 
     # -- scheduler side ---------------------------------------------------
 
@@ -135,7 +151,8 @@ class SimNet:
 
         Returns each endpoint's error (None on success).  Endpoint exceptions
         never propagate out of the run; stalled endpoints end with
-        StepBudgetExceeded.
+        StepBudgetExceeded.  Raises TransportError if a task thread is still
+        alive after the last one has handed back control.
         """
         if set(mains) != set(self.names):
             raise TransportError("one entry point per census location is required")
@@ -148,45 +165,48 @@ class SimNet:
         for task in self._tasks.values():
             task.thread.start()
 
-        with self._cv:
-            while True:
-                alive = [t for t in self._tasks.values() if t.state != "done"]
-                if not alive:
-                    break
-                runnable = sorted(t.name for t in alive if t.state == "ready")
-                deliverable = sorted(p for p in self._pairs if self._pending[p])
-                actions = [("run", n) for n in runnable] + [
-                    ("deliver", s, r) for (s, r) in deliverable
-                ]
-                if not actions:
-                    for t in alive:
-                        if t.abort is None:
-                            t.abort = StepBudgetExceeded(
-                                f"stalled: {t.name!r} blocked on recv from "
-                                f"{t.blocked_on!r} with nothing in flight"
-                            )
-                        t.state = "ready"
-                    continue
-                action = self._rng.choice(actions)
-                if action[0] == "run":
-                    name = action[1]
-                    self._charge(name)
-                    self._active = name
-                    self._cv.notify_all()
-                    while self._active != _SCHEDULER:
-                        self._cv.wait()
-                else:
-                    _, s, r = action
-                    envelope = self._pending[(s, r)].popleft()
-                    envelope.record.t_deliver = self._tick()
-                    self._arrived[(s, r)].append(envelope)
-                    task = self._tasks[r]
-                    if task.state == "blocked" and task.blocked_on == s:
-                        task.state = "ready"
-                    self._charge(r)
+        while True:
+            alive = [t for t in self._tasks.values() if t.state != "done"]
+            if not alive:
+                break
+            runnable = sorted(t.name for t in alive if t.state == "ready")
+            deliverable = sorted(self._deliverable)
+            actions = [("run", n) for n in runnable] + [
+                ("deliver", s, r) for (s, r) in deliverable
+            ]
+            if not actions:
+                for t in alive:
+                    if t.abort is None:
+                        t.abort = StepBudgetExceeded(
+                            f"stalled: {t.name!r} blocked on recv from "
+                            f"{t.blocked_on!r} with nothing in flight"
+                        )
+                    t.state = "ready"
+                continue
+            action = self._rng.choice(actions)
+            if action[0] == "run":
+                name = action[1]
+                self._charge(name)
+                self._tasks[name].baton.release()
+                self._baton.acquire()
+            else:
+                _, s, r = action
+                pending = self._pending[(s, r)]
+                envelope = pending.popleft()
+                if not pending:
+                    self._deliverable.discard((s, r))
+                envelope.record.t_deliver = self._tick()
+                self._arrived[(s, r)].append(envelope)
+                task = self._tasks[r]
+                if task.state == "blocked" and task.blocked_on == s:
+                    task.state = "ready"
+                self._charge(r)
 
         for task in self._tasks.values():
-            task.thread.join(timeout=5)
+            task.thread.join(timeout=_JOIN_TIMEOUT_S)
+        leaked = [t.name for t in self._tasks.values() if t.thread.is_alive()]
+        if leaked:
+            raise TransportError(f"simulator threads still alive after the run: {leaked}")
         return {name: task.error for name, task in self._tasks.items()}
 
     def _charge(self, name: str) -> None:
@@ -203,25 +223,18 @@ class SimNet:
                     t.state = "ready"
 
     def _thread_main(self, task: _Task, main: Callable[[], None]) -> None:
-        with self._cv:
-            while self._active != task.name:
-                self._cv.wait()
-            task.state = "running"
-            if task.abort is not None:
-                task.error = task.abort
-                task.abort = None
-                task.state = "done"
-                self._active = _SCHEDULER
-                self._cv.notify_all()
-                return
-        try:
-            main()
-        except BaseException as exc:  # recorded per endpoint, never propagated
-            task.error = exc
-        with self._cv:
-            task.state = "done"
-            self._active = _SCHEDULER
-            self._cv.notify_all()
+        task.baton.acquire()
+        task.state = "running"
+        if task.abort is not None:
+            task.error = task.abort
+            task.abort = None
+        else:
+            try:
+                main()
+            except BaseException as exc:  # recorded per endpoint, never propagated
+                task.error = exc
+        task.state = "done"
+        self._baton.release()
 
 
 def sim_make(census_names, seed: int = 0, step_budget: int = 10_000):

@@ -22,6 +22,7 @@ from ..errors import DecodeError, TransportError
 from ..portable import decode, encode
 
 FRAME_LIMIT = 64 * 1024 * 1024
+_JOIN_TIMEOUT_S = 5.0
 
 
 def free_port() -> int:
@@ -209,7 +210,17 @@ class TcpTransport:
             return item
 
     def close(self) -> None:
+        """Close every socket and join the acceptor.
+
+        Closing a listener does not wake a thread blocked in `accept()`;
+        shutting it down first does.  Raises TransportError if the acceptor
+        is still alive afterwards.
+        """
         self._closed = True
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:
@@ -219,3 +230,6 @@ class TcpTransport:
                 sock.close()
             except OSError:
                 pass
+        self._acceptor.join(timeout=_JOIN_TIMEOUT_S)
+        if self._acceptor.is_alive():
+            raise TransportError("acceptor thread still alive after close")

@@ -78,3 +78,17 @@ def test_witness_soundness_property(listed, data):
         assert census.members[s.index_map[i]] == loc
         # composition law: compose(member(p, A), subset(A, B)) == member(p, B)
         assert compose(member(loc.name, sub), s) == member(loc.name, census)
+
+
+def test_census_names_is_one_tuple_in_census_order():
+    c = census_of(["carol", "alice", "bob"])
+    assert c.names == ("carol", "alice", "bob")
+    assert c.names is c.names
+    assert EMPTY.names == () and EMPTY.names is EMPTY.names
+    # equality, hashing and repr are still those of the member tuple
+    assert c == census_of(["carol", "alice", "bob"])
+    assert c != census_of(["alice", "bob", "carol"])
+    assert hash(c) == hash(c.members)
+    assert repr(c) == "Census('carol', 'alice', 'bob')"
+    assert EMPTY == Census(()) and hash(EMPTY) == hash(())
+    assert repr(EMPTY) == "Census()"

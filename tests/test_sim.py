@@ -1,6 +1,9 @@
 """Deterministic simulator: FIFO, seeded determinism, observable reordering,
 stall and budget detection."""
 
+import hashlib
+import threading
+
 import pytest
 
 from choreo import census_of, run_simulated
@@ -146,3 +149,67 @@ def test_run_simulated_determinism():
     assert [m.t_deliver for m in first.messages] == [m.t_deliver for m in second.messages]
     for name in ex.census.names:
         assert first.result_view(name) == second.result_view(name)
+
+
+def _schedule_digest_inputs():
+    from choreo.examples import build_example
+    from choreo.protocols import gmw as G
+    from choreo.protocols.kvs import Get, Put
+
+    for n in (3, 8, 16):
+        last = f"p{n}"
+        circuit = G.XorGate(
+            G.AndGate(G.InputWire("p1"), G.XorGate(G.InputWire("p2"), G.InputWire(last))),
+            G.LitWire(True),
+        )
+        inputs = {"p1": [True], "p2": [False], last: [True]}
+        yield build_example("gmw", circuit=circuit, parties=n, inputs=inputs), 100 + n
+    script = [Put("a", 1), Get("a"), Put("b", 2), Get("b"), Get("zz")]
+    yield build_example("kvs-poly", backups=3, script=script), 11
+
+
+def test_seeded_schedules_are_pinned():
+    # One digest over the full delivery schedule (send, deliver and receive
+    # times of every message) and the serialized report of seeded simulated
+    # runs.  Any change to the scheduler that alters a seeded interleaving
+    # changes this digest.
+    h = hashlib.sha256()
+    for ex, seed in _schedule_digest_inputs():
+        report = run_simulated(
+            ex.choreography, ex.census, ex.args, seed=seed, inputs=ex.inputs
+        )
+        report.require_success()
+        for m in report.messages:
+            h.update(repr((m.sender, m.receiver, m.seq, m.t_send, m.t_deliver, m.t_recv)).encode())
+        h.update(report.serialize().encode())
+    assert h.hexdigest() == (
+        "366591eca3af5a7fcd6166526828244f2a3b4dcd14448926e728a5d8ae40b28b"
+    )
+
+
+def _stalled(net):
+    def main_a():
+        pass
+
+    def main_b():
+        net.handle("b").recv("a")
+
+    return {"a": main_a, "b": main_b}
+
+
+@pytest.mark.parametrize("shape", ["clean", "stalled", "over-budget"])
+def test_run_leaves_no_threads_behind(shape):
+    before = set(threading.enumerate())
+    if shape == "clean":
+        net = SimNet(["a", "b"], seed=5)
+        errors = net.run(_ping_pong_mains(net))
+        assert errors == {"a": None, "b": None}
+    elif shape == "stalled":
+        net = SimNet(["a", "b"], seed=0)
+        errors = net.run(_stalled(net))
+        assert isinstance(errors["b"], StepBudgetExceeded)
+    else:
+        net = SimNet(["a", "b"], seed=0, step_budget=4)
+        errors = net.run(_ping_pong_mains(net, rounds=50))
+        assert any(isinstance(e, StepBudgetExceeded) for e in errors.values())
+    assert [t for t in threading.enumerate() if t not in before] == []

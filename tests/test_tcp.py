@@ -4,6 +4,7 @@ protocol run over real sockets."""
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -135,3 +136,26 @@ def test_protocol_over_tcp_matches_simulator():
     simulated.require_success()
     for name in ex.census.names:
         assert results[name] == simulated.result_view(name)
+
+
+def test_close_stops_the_acceptor_and_the_listener():
+    book = {"a": f"127.0.0.1:{free_port()}", "b": f"127.0.0.1:{free_port()}"}
+    ta = TcpTransport("a", book, recv_timeout=5)
+    tb = TcpTransport("b", book, recv_timeout=5)
+    try:
+        # one delivery puts a's acceptor back into a blocking accept()
+        tb.send("a", b"x")
+        assert ta.recv("b") == b"x"
+        time.sleep(0.05)
+        acceptor = ta._acceptor
+        assert acceptor.is_alive()
+        started = time.monotonic()
+        ta.close()
+        acceptor.join(timeout=1.0)
+        assert not acceptor.is_alive()
+        assert time.monotonic() - started < 1.0
+        with pytest.raises(OSError):
+            socket.create_connection(("127.0.0.1", ta.port), timeout=1.0).close()
+    finally:
+        ta.close()
+        tb.close()
