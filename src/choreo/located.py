@@ -2,13 +2,13 @@
 
 MultiplyLocated: one value owned identically by a set of locations; present at
 owners, absent elsewhere.  Faceted: per-owner *distinct* private values under
-one handle.  Quire: a complete location-to-value map held wholly by whoever
-has it.
+one handle, held as a dict from owner name to facet that lists the facets the
+interpreter can see.  Quire: a complete location-to-value map held wholly by
+whoever has it.
 
-MultiplyLocated and Faceted are constructed only by the runtime (the module
-prefix-underscore factories); choreographies read them through unwrappers,
-`naked`, or the loop operators.  Quire is an ordinary container with a public
-constructor.
+MultiplyLocated and Faceted are constructed only by the runtime;
+choreographies read them through unwrappers, `naked`, or the loop operators.
+Quire is an ordinary container with a public constructor.
 """
 
 from typing import Any, Iterator, Mapping
@@ -62,15 +62,18 @@ def _located(owners: Census, present: bool, value: Any) -> MultiplyLocated:
 
 
 class Faceted:
-    """Per-owner private values; each owner can read only its own facet."""
+    """Per-owner private values; each owner can read only its own facet.
 
-    __slots__ = ("_owners", "_facets", "_has_own", "_own")
+    `_facets` maps owner name to facet for the owners the interpreter sees:
+    every owner in a centralized run; at an endpoint, its own facet if it is
+    an owner and nothing otherwise.
+    """
 
-    def __init__(self, owners: Census, facets, has_own: bool, own: Any):
+    __slots__ = ("_owners", "_facets")
+
+    def __init__(self, owners: Census, facets: dict[str, Any]):
         self._owners = owners
-        self._facets = facets  # central runs: complete dict name -> facet
-        self._has_own = has_own  # endpoint runs: whether self owns a facet
-        self._own = own
+        self._facets = facets
 
     @property
     def owners(self) -> Census:
@@ -78,14 +81,6 @@ class Faceted:
 
     def __repr__(self) -> str:
         return f"<Faceted {list(self._owners.names)}>"
-
-
-def _faceted_central(owners: Census, facets: dict[str, Any]) -> Faceted:
-    return Faceted(owners, facets, False, ABSENT)
-
-
-def _faceted_endpoint(owners: Census, has_own: bool, own: Any) -> Faceted:
-    return Faceted(owners, None, has_own, own if has_own else ABSENT)
 
 
 class Quire:

@@ -4,8 +4,11 @@ A choreography is an ordinary function over an *operator bundle*: the bundle
 supplies every effectful operation (local computation, communication, census
 narrowing, loops), and running the same choreography against different bundle
 implementations is what projects it to an endpoint, interprets it centrally,
-or drives it over a simulated network.  The base class below fixes the global
-contract of every operator; the runtime provides the concrete bundles.
+or drives it over a simulated network.  The base class below states the global
+contract of every operator once: its checks on witnesses, owners, empty sets
+and loop shapes, which every interpreter calls before its effects, so a broken
+contract raises the same error under each.  The runtime provides the concrete
+bundles, which supply only the effects.
 
 Global semantics, in one place:
 
@@ -21,7 +24,10 @@ Global semantics, in one place:
                               narrowed to it; everyone else skips the whole
                               sub-choreography (no messages, no computation).
 - replicated(body)            every census member computes the same pure body
-                              on multiply-owned data; results must agree.
+                              on multiply-owned data; results must agree.  An
+                              endpoint trusts the body to be pure and runs it
+                              once; only the centralized oracle runs it once
+                              per census member and compares the results.
 - fanout / fanin              sequential loops over a location subset, one
                               sub-choreography per looped location, aggregating
                               a Faceted (at the looped set) or a Quire (at the
@@ -40,7 +46,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 from .errors import (
+    CensusNotOwnedError,
     ContractError,
+    EmptyCensusError,
     InputExhaustedError,
     NotAnOwnerError,
     UnwrapAbsentError,
@@ -78,14 +86,13 @@ class Unwrapper:
     access (those would break the agreement contract).
     """
 
-    __slots__ = ("location", "_rng", "_inputs", "_census_scope", "_resolver")
+    __slots__ = ("location", "_rng", "_inputs", "_census_scope")
 
-    def __init__(self, location, rng, inputs, census_scope, resolver):
+    def __init__(self, location, rng, inputs, census_scope):
         self.location = location
         self._rng = rng
         self._inputs = inputs
         self._census_scope = census_scope
-        self._resolver = resolver  # (container, reader_name) -> payload
 
     @property
     def rng(self):
@@ -113,25 +120,37 @@ class Unwrapper:
                 raise UnwrapAbsentError(
                     f"census member {missing[0]!r} does not own the value"
                 )
-            return self._resolver(value, None)
+            return value._value
         if isinstance(value, (MultiplyLocated, Faceted)):
             name = self.location.name
             if name not in value.owners:
                 raise UnwrapAbsentError(
                     f"{name!r} does not own the value (owners: {value.owners.names})"
                 )
-            return self._resolver(value, name)
+            return value._facets[name] if isinstance(value, Faceted) else value._value
         raise ContractError(f"cannot unwrap {type(value).__name__}")
+
+
+def _check_declared(c: Choreography, census: Census, verb: str) -> None:
+    if c.census is not None and c.census != census:
+        raise WitnessMismatchError(
+            f"choreography declared census {c.census.names}, {verb} {census.names}"
+        )
+
+
+def run_proc(c: Any, census: Census) -> Callable[["OperatorBundle", Any], Any]:
+    """The procedure a run under `census` calls: a Choreography's, once the
+    census it declares (if any) is checked, or `c` itself."""
+    if isinstance(c, Choreography):
+        _check_declared(c, census, "got")
+        return c.proc
+    return c
 
 
 def as_callable(c: Any, expected_census: Census) -> Callable[["OperatorBundle"], Any]:
     """Normalize a sub-choreography argument to a callable over the bundle."""
     if isinstance(c, Choreography):
-        if c.census is not None and c.census != expected_census:
-            raise WitnessMismatchError(
-                f"choreography declared census {c.census.names}, "
-                f"running under {expected_census.names}"
-            )
+        _check_declared(c, expected_census, "running under")
         return lambda b: c.proc(b, None)
     if callable(c):
         return c
@@ -174,6 +193,99 @@ class OperatorBundle(ABC):
             raise WitnessMismatchError(
                 f"subset witness is not into the current census {self._census.names}"
             )
+
+    # -- the operator contract: checks each bundle's operators call first --
+    # Each bundle still defines all nine operators in its own class, not as
+    # inherited template methods: tracing (bench/tracer.py) wraps the ones it
+    # finds in each bundle class's own __dict__.
+
+    def _check_multicast(self, s: MembershipWitness, r: SubsetWitness, v) -> str:
+        """Returns the sender's name."""
+        self._require_member(s)
+        self._require_subset(r)
+        if not isinstance(v, MultiplyLocated):
+            raise ContractError("multicast takes a multiply-located value")
+        sender = s.location.name
+        if sender not in v.owners:
+            raise NotAnOwnerError(f"{sender!r} does not own the value being sent")
+        if len(r.sub) == 0:
+            raise EmptyCensusError("multicast needs at least one recipient")
+        return sender
+
+    def _check_naked(self, v) -> None:
+        if not isinstance(v, MultiplyLocated):
+            raise ContractError("naked takes a multiply-located value")
+        missing = [n for n in self._census.names if n not in v.owners]
+        if missing:
+            raise CensusNotOwnedError(
+                f"census member {missing[0]!r} does not own the value"
+            )
+
+    def _check_enclave(self, s: SubsetWitness, c) -> Callable[["OperatorBundle"], Any]:
+        """Returns the sub-choreography as a callable over the child bundle."""
+        self._require_subset(s)
+        if len(s.sub) == 0:
+            raise EmptyCensusError("an enclave census may not be empty")
+        return as_callable(c, s.sub)
+
+    def _fanout_payloads(self, qs: SubsetWitness, per) -> dict[str, Any]:
+        """Runs the iterations in order; returns their payloads by location."""
+        self._require_subset(qs)
+        payloads = {}
+        for i, loc in enumerate(qs.sub.members):
+            ret = as_callable(per(MembershipWitness(loc, qs.sub, i)), self._census)(self)
+            if not isinstance(ret, MultiplyLocated) or ret.owners.names != (loc.name,):
+                raise ContractError(
+                    f"fanout iteration must yield a value located exactly at {loc.name!r}"
+                )
+            payloads[loc.name] = ret._value
+        return payloads
+
+    def _fanin_payloads(self, qs: SubsetWitness, rs: SubsetWitness, per) -> dict[str, Any]:
+        """Runs the iterations in order; returns their payloads by location."""
+        self._require_subset(qs)
+        self._require_subset(rs)
+        if len(rs.sub) == 0:
+            raise EmptyCensusError("fanin needs at least one recipient")
+        payloads = {}
+        for i, loc in enumerate(qs.sub.members):
+            ret = as_callable(per(MembershipWitness(loc, qs.sub, i)), self._census)(self)
+            if not isinstance(ret, MultiplyLocated) or ret.owners != rs.sub:
+                raise ContractError(
+                    "fanin iteration must yield a value located at the recipients"
+                )
+            payloads[loc.name] = ret._value
+        return payloads
+
+    def _check_flatten(self, outer: SubsetWitness, inner: SubsetWitness, v) -> None:
+        if not isinstance(v, MultiplyLocated):
+            raise ContractError("flatten takes a multiply-located value")
+        if not (isinstance(outer, SubsetWitness) and isinstance(inner, SubsetWitness)):
+            raise WitnessMismatchError("flatten takes subset witnesses")
+        if outer.sup != v.owners:
+            raise WitnessMismatchError("outer witness must target the value's owners")
+        if outer.sub != inner.sub:
+            raise WitnessMismatchError("flatten witnesses must share the narrowed set")
+        if len(outer.sub) == 0:
+            raise EmptyCensusError("cannot flatten to an empty owner set")
+
+    def _check_nested(self, inner: SubsetWitness, payload) -> Any:
+        """Checks flatten's payload where it is present; returns the inner one."""
+        if not isinstance(payload, MultiplyLocated):
+            raise ContractError("flatten needs a nested located value")
+        if inner.sup != payload.owners:
+            raise WitnessMismatchError("inner witness must target the nested owners")
+        return payload._value
+
+    def _check_others_forget(self, t: SubsetWitness, v) -> None:
+        if not isinstance(v, MultiplyLocated):
+            raise ContractError("others_forget takes a multiply-located value")
+        if not isinstance(t, SubsetWitness):
+            raise WitnessMismatchError("others_forget takes a subset witness")
+        if t.sup != v.owners:
+            raise WitnessMismatchError("witness must target the value's owners")
+        if len(t.sub) == 0:
+            raise EmptyCensusError("cannot shrink ownership to the empty set")
 
     # -- core operators (mode-specific) ----------------------------------
 
@@ -223,8 +335,6 @@ class OperatorBundle(ABC):
         return self.naked(self.multicast(s, self.everyone(), v))
 
     def parallel(self, qs: SubsetWitness, body) -> Faceted:
-        self._require_subset(qs)
-
         def per(q_in_qs: MembershipWitness):
             q = compose(q_in_qs, qs)
             return lambda b: b.locally(q, lambda un: body(q.location, un))

@@ -9,23 +9,10 @@ the simulated and TCP runs are compared against.
 from collections import deque
 from typing import Any
 
-from ..errors import (
-    CensusNotOwnedError,
-    ContractError,
-    EmptyCensusError,
-    NotAnOwnerError,
-    RunAborted,
-    WitnessMismatchError,
-)
-from ..located import (
-    Faceted,
-    MultiplyLocated,
-    Quire,
-    _faceted_central,
-    _located,
-)
+from ..errors import ContractError, RunAborted
+from ..located import Faceted, MultiplyLocated, Quire, _located
 from ..locations import Census, MembershipWitness, SubsetWitness
-from ..ops import Choreography, OperatorBundle, Unwrapper, as_callable
+from ..ops import OperatorBundle, Unwrapper, run_proc
 from ..portable import decode, encode
 from ..seeding import location_rng
 from ..transport import MessageRecord
@@ -42,21 +29,15 @@ class _EndpointAbort(Exception):
         self.cause = cause
 
 
-def _central_resolve(container, reader):
-    if isinstance(container, Faceted):
-        return container._facets[reader]
-    return container._value
-
-
 class _CentralState:
     def __init__(self, census: Census, seed: int, inputs: dict):
-        self.census = census
         self.clock = 0
         self.logs = {n: EndpointLog(n) for n in census.names}
         self.rngs = {n: location_rng(seed, n) for n in census.names}
         self.inputs = {n: deque(inputs.get(n, [])) for n in census.names}
-        self.value_counters = {n: {} for n in census.names}
-        self.branch_counters = {n: {} for n in census.names}
+        # one count per census context: its members always record together
+        self.value_counters: dict[tuple, int] = {}
+        self.branch_counters: dict[tuple, int] = {}
         self.seqs: dict[tuple[str, str], int] = {}
         self.messages: list[MessageRecord] = []
 
@@ -84,10 +65,9 @@ class CentralBundle(OperatorBundle):
     def _record_mlv(self, mlv: MultiplyLocated) -> MultiplyLocated:
         sig = self._census.names
         payload = try_encode(mlv._value)
+        seq = self._state.value_counters.get(sig, 0)
+        self._state.value_counters[sig] = seq + 1
         for name in sig:
-            counters = self._state.value_counters[name]
-            seq = counters.get(sig, 0)
-            counters[sig] = seq + 1
             state = "present" if name in mlv.owners else "absent"
             self._state.logs[name].values.append(
                 ValueRecord(sig, seq, "mlv", mlv.owners.names, state,
@@ -97,28 +77,24 @@ class CentralBundle(OperatorBundle):
 
     def _record_faceted(self, f: Faceted) -> Faceted:
         sig = self._census.names
+        seq = self._state.value_counters.get(sig, 0)
+        self._state.value_counters[sig] = seq + 1
         for name in sig:
-            counters = self._state.value_counters[name]
-            seq = counters.get(sig, 0)
-            counters[sig] = seq + 1
             if name in f.owners:
-                self._state.logs[name].values.append(
-                    ValueRecord(sig, seq, "faceted", f.owners.names, "facet",
-                                try_encode(f._facets[name]))
-                )
+                state, payload = "facet", try_encode(f._facets[name])
             else:
-                self._state.logs[name].values.append(
-                    ValueRecord(sig, seq, "faceted", f.owners.names, "nofacet", None)
-                )
+                state, payload = "nofacet", None
+            self._state.logs[name].values.append(
+                ValueRecord(sig, seq, "faceted", f.owners.names, state, payload)
+            )
         return f
 
     def _record_branch(self, value: Any) -> None:
         sig = self._census.names
         outcome = canonical_bytes(value)
+        index = self._state.branch_counters.get(sig, 0)
+        self._state.branch_counters[sig] = index + 1
         for name in sig:
-            counters = self._state.branch_counters[name]
-            index = counters.get(sig, 0)
-            counters[sig] = index + 1
             self._state.logs[name].branches.append(BranchRecord(sig, index, outcome))
 
     # -- core operators ----------------------------------------------------
@@ -126,13 +102,7 @@ class CentralBundle(OperatorBundle):
     def locally(self, w: MembershipWitness, body) -> MultiplyLocated:
         self._require_member(w)
         name = w.location.name
-        un = Unwrapper(
-            w.location,
-            self._state.rngs[name],
-            self._state.inputs[name],
-            None,
-            _central_resolve,
-        )
+        un = Unwrapper(w.location, self._state.rngs[name], self._state.inputs[name], None)
         try:
             value = body(un)
         except _EndpointAbort:
@@ -142,15 +112,7 @@ class CentralBundle(OperatorBundle):
         return self._record_mlv(_located(Census((w.location,)), True, value))
 
     def multicast(self, s: MembershipWitness, r: SubsetWitness, v) -> MultiplyLocated:
-        self._require_member(s)
-        self._require_subset(r)
-        if not isinstance(v, MultiplyLocated):
-            raise ContractError("multicast takes a multiply-located value")
-        sender = s.location.name
-        if sender not in v.owners:
-            raise NotAnOwnerError(f"{sender!r} does not own the value being sent")
-        if len(r.sub) == 0:
-            raise EmptyCensusError("multicast needs at least one recipient")
+        sender = self._check_multicast(s, r, v)
         data = encode(v._value)
         value = decode(data)
         for q in r.sub.names:
@@ -166,21 +128,12 @@ class CentralBundle(OperatorBundle):
         return self._record_mlv(_located(r.sub, True, value))
 
     def naked(self, v) -> Any:
-        if not isinstance(v, MultiplyLocated):
-            raise ContractError("naked takes a multiply-located value")
-        missing = [n for n in self._census.names if n not in v.owners]
-        if missing:
-            raise CensusNotOwnedError(
-                f"census member {missing[0]!r} does not own the value"
-            )
+        self._check_naked(v)
         self._record_branch(v._value)
         return v._value
 
     def enclave(self, s: SubsetWitness, c) -> MultiplyLocated:
-        self._require_subset(s)
-        if len(s.sub) == 0:
-            raise EmptyCensusError("an enclave census may not be empty")
-        proc = as_callable(c, s.sub)
+        proc = self._check_enclave(s, c)
         sig = s.sub.names
         for name in sig:
             self._state.logs[name].events.append(("enter", sig))
@@ -190,7 +143,7 @@ class CentralBundle(OperatorBundle):
         return self._record_mlv(_located(s.sub, True, ret))
 
     def replicated(self, body) -> MultiplyLocated:
-        un = Unwrapper(None, None, None, self._census, _central_resolve)
+        un = Unwrapper(None, None, None, self._census)
         results = [body(un) for _ in self._census.names]
         canon = [canonical_bytes(x) for x in results]
         if any(c != canon[0] for c in canon):
@@ -198,57 +151,20 @@ class CentralBundle(OperatorBundle):
         return self._record_mlv(_located(self._census, True, results[0]))
 
     def fanout(self, qs: SubsetWitness, per) -> Faceted:
-        self._require_subset(qs)
-        facets = {}
-        for i, loc in enumerate(qs.sub.members):
-            proc = as_callable(per(MembershipWitness(loc, qs.sub, i)), self._census)
-            ret = proc(self)
-            if not isinstance(ret, MultiplyLocated) or ret.owners.names != (loc.name,):
-                raise ContractError(
-                    f"fanout iteration must yield a value located exactly at {loc.name!r}"
-                )
-            facets[loc.name] = ret._value
-        return self._record_faceted(_faceted_central(qs.sub, facets))
+        facets = self._fanout_payloads(qs, per)
+        return self._record_faceted(Faceted(qs.sub, facets))
 
     def fanin(self, qs: SubsetWitness, rs: SubsetWitness, per) -> MultiplyLocated:
-        self._require_subset(qs)
-        self._require_subset(rs)
-        if len(rs.sub) == 0:
-            raise EmptyCensusError("fanin needs at least one recipient")
-        entries = {}
-        for i, loc in enumerate(qs.sub.members):
-            proc = as_callable(per(MembershipWitness(loc, qs.sub, i)), self._census)
-            ret = proc(self)
-            if not isinstance(ret, MultiplyLocated) or ret.owners != rs.sub:
-                raise ContractError(
-                    "fanin iteration must yield a value located at the recipients"
-                )
-            entries[loc.name] = ret._value
+        entries = self._fanin_payloads(qs, rs, per)
         return self._record_mlv(_located(rs.sub, True, Quire(qs.sub, entries)))
 
     def flatten(self, outer: SubsetWitness, inner: SubsetWitness, v) -> MultiplyLocated:
-        if not isinstance(v, MultiplyLocated):
-            raise ContractError("flatten takes a multiply-located value")
-        if outer.sup != v.owners:
-            raise WitnessMismatchError("outer witness must target the value's owners")
-        if outer.sub != inner.sub:
-            raise WitnessMismatchError("flatten witnesses must share the narrowed set")
-        if len(outer.sub) == 0:
-            raise EmptyCensusError("cannot flatten to an empty owner set")
-        payload = v._value
-        if not isinstance(payload, MultiplyLocated):
-            raise ContractError("flatten needs a nested located value")
-        if inner.sup != payload.owners:
-            raise WitnessMismatchError("inner witness must target the nested owners")
-        return self._record_mlv(_located(outer.sub, True, payload._value))
+        self._check_flatten(outer, inner, v)
+        value = self._check_nested(inner, v._value)
+        return self._record_mlv(_located(outer.sub, True, value))
 
     def others_forget(self, t: SubsetWitness, v) -> MultiplyLocated:
-        if not isinstance(v, MultiplyLocated):
-            raise ContractError("others_forget takes a multiply-located value")
-        if t.sup != v.owners:
-            raise WitnessMismatchError("witness must target the value's owners")
-        if len(t.sub) == 0:
-            raise EmptyCensusError("cannot shrink ownership to the empty set")
+        self._check_others_forget(t, v)
         return self._record_mlv(_located(t.sub, True, v._value))
 
 
@@ -260,14 +176,7 @@ def run_centralized(
     Failures are recorded per endpoint in the report rather than raised, so a
     failing run can still be inspected.
     """
-    if isinstance(c, Choreography):
-        if c.census is not None and c.census != census:
-            raise WitnessMismatchError(
-                f"choreography declared census {c.census.names}, got {census.names}"
-            )
-        proc = c.proc
-    else:
-        proc = c
+    proc = run_proc(c, census)
     state = _CentralState(census, seed, inputs or {})
     bundle = CentralBundle(state, census)
     report = RunReport("centralized", seed, census.names, state.logs, state.messages)

@@ -10,33 +10,15 @@ are skipped entirely.
 from collections import deque
 from typing import Any
 
-from ..errors import (
-    CensusNotOwnedError,
-    ContractError,
-    EmptyCensusError,
-    NotAnOwnerError,
-    WitnessMismatchError,
-)
-from ..located import (
-    Faceted,
-    MultiplyLocated,
-    Quire,
-    _faceted_endpoint,
-    _located,
-)
+from ..errors import WitnessMismatchError
+from ..located import Faceted, MultiplyLocated, Quire, _located
 from ..locations import Census, MembershipWitness, SubsetWitness
-from ..ops import Choreography, OperatorBundle, Unwrapper, as_callable
+from ..ops import OperatorBundle, Unwrapper, run_proc
 from ..portable import decode, encode
 from ..seeding import location_rng
 from ..transport import MessageRecord, Transport
 from .report import BranchRecord, EndpointLog, RunReport, ValueRecord
 from .views import canonical_bytes, try_encode, view
-
-
-def _endpoint_resolve(container, reader):
-    if isinstance(container, Faceted):
-        return container._own
-    return container._value
 
 
 class EndpointState:
@@ -101,9 +83,10 @@ class EndpointBundle(OperatorBundle):
         sig = self._census.names
         seq = self._state.value_counters.get(sig, 0)
         self._state.value_counters[sig] = seq + 1
-        if f._has_own:
+        me = self._state.self_name
+        if me in f._facets:
             rec = ValueRecord(sig, seq, "faceted", f.owners.names, "facet",
-                              try_encode(f._own))
+                              try_encode(f._facets[me]))
         else:
             rec = ValueRecord(sig, seq, "faceted", f.owners.names, "nofacet", None)
         self._state.log.values.append(rec)
@@ -121,57 +104,35 @@ class EndpointBundle(OperatorBundle):
         self._require_member(w)
         owners = Census((w.location,))
         if w.location.name == self._state.self_name:
-            un = Unwrapper(
-                w.location, self._state.rng, self._state.inputs, None, _endpoint_resolve
-            )
+            un = Unwrapper(w.location, self._state.rng, self._state.inputs, None)
             mlv = _located(owners, True, body(un))
         else:
             mlv = _located(owners, False, None)
         return self._record_mlv(mlv)
 
     def multicast(self, s: MembershipWitness, r: SubsetWitness, v) -> MultiplyLocated:
-        self._require_member(s)
-        self._require_subset(r)
-        if not isinstance(v, MultiplyLocated):
-            raise ContractError("multicast takes a multiply-located value")
-        sender = s.location.name
-        if sender not in v.owners:
-            raise NotAnOwnerError(f"{sender!r} does not own the value being sent")
-        if len(r.sub) == 0:
-            raise EmptyCensusError("multicast needs at least one recipient")
+        sender = self._check_multicast(s, r, v)
         me = self._state.self_name
         if me == sender:
             data = encode(v._value)
             for q in r.sub.names:
                 if q != me:
                     self._state.send(q, data)
-            if me in r.sub:
-                mlv = _located(r.sub, True, decode(data))
-            else:
-                mlv = _located(r.sub, False, None)
         elif me in r.sub:
             data = self._state.recv(sender)
+        if me in r.sub:
             mlv = _located(r.sub, True, decode(data))
         else:
             mlv = _located(r.sub, False, None)
         return self._record_mlv(mlv)
 
     def naked(self, v) -> Any:
-        if not isinstance(v, MultiplyLocated):
-            raise ContractError("naked takes a multiply-located value")
-        missing = [n for n in self._census.names if n not in v.owners]
-        if missing:
-            raise CensusNotOwnedError(
-                f"census member {missing[0]!r} does not own the value"
-            )
+        self._check_naked(v)
         self._record_branch(v._value)
         return v._value
 
     def enclave(self, s: SubsetWitness, c) -> MultiplyLocated:
-        self._require_subset(s)
-        if len(s.sub) == 0:
-            raise EmptyCensusError("an enclave census may not be empty")
-        proc = as_callable(c, s.sub)
+        proc = self._check_enclave(s, c)
         sig = s.sub.names
         if self._state.self_name in s.sub:
             self._state.log.events.append(("enter", sig))
@@ -183,82 +144,47 @@ class EndpointBundle(OperatorBundle):
         return self._record_mlv(mlv)
 
     def replicated(self, body) -> MultiplyLocated:
-        un = Unwrapper(None, None, None, self._census, _endpoint_resolve)
+        un = Unwrapper(None, None, None, self._census)
         value = body(un)
         return self._record_mlv(_located(self._census, True, value))
 
     def fanout(self, qs: SubsetWitness, per) -> Faceted:
-        self._require_subset(qs)
+        payloads = self._fanout_payloads(qs, per)
         me = self._state.self_name
-        has_own = me in qs.sub
-        own = None
-        for i, loc in enumerate(qs.sub.members):
-            proc = as_callable(per(MembershipWitness(loc, qs.sub, i)), self._census)
-            ret = proc(self)
-            if not isinstance(ret, MultiplyLocated) or ret.owners.names != (loc.name,):
-                raise ContractError(
-                    f"fanout iteration must yield a value located exactly at {loc.name!r}"
-                )
-            if loc.name == me:
-                own = ret._value
-        return self._record_faceted(_faceted_endpoint(qs.sub, has_own, own))
+        own = {me: payloads[me]} if me in payloads else {}
+        return self._record_faceted(Faceted(qs.sub, own))
 
     def fanin(self, qs: SubsetWitness, rs: SubsetWitness, per) -> MultiplyLocated:
-        self._require_subset(qs)
-        self._require_subset(rs)
-        if len(rs.sub) == 0:
-            raise EmptyCensusError("fanin needs at least one recipient")
-        me = self._state.self_name
-        entries = {}
-        for i, loc in enumerate(qs.sub.members):
-            proc = as_callable(per(MembershipWitness(loc, qs.sub, i)), self._census)
-            ret = proc(self)
-            if not isinstance(ret, MultiplyLocated) or ret.owners != rs.sub:
-                raise ContractError(
-                    "fanin iteration must yield a value located at the recipients"
-                )
-            if me in rs.sub:
-                entries[loc.name] = ret._value
-        if me in rs.sub:
+        entries = self._fanin_payloads(qs, rs, per)
+        if self._state.self_name in rs.sub:
             mlv = _located(rs.sub, True, Quire(qs.sub, entries))
         else:
             mlv = _located(rs.sub, False, None)
         return self._record_mlv(mlv)
 
     def flatten(self, outer: SubsetWitness, inner: SubsetWitness, v) -> MultiplyLocated:
-        if not isinstance(v, MultiplyLocated):
-            raise ContractError("flatten takes a multiply-located value")
-        if outer.sup != v.owners:
-            raise WitnessMismatchError("outer witness must target the value's owners")
-        if outer.sub != inner.sub:
-            raise WitnessMismatchError("flatten witnesses must share the narrowed set")
-        if len(outer.sub) == 0:
-            raise EmptyCensusError("cannot flatten to an empty owner set")
-        me = self._state.self_name
-        if me in outer.sub:
-            payload = v._value
-            if not isinstance(payload, MultiplyLocated):
-                raise ContractError("flatten needs a nested located value")
-            if inner.sup != payload.owners:
-                raise WitnessMismatchError("inner witness must target the nested owners")
-            mlv = _located(outer.sub, True, payload._value)
+        self._check_flatten(outer, inner, v)
+        if self._state.self_name in outer.sub:
+            mlv = _located(outer.sub, True, self._check_nested(inner, v._value))
         else:
             mlv = _located(outer.sub, False, None)
         return self._record_mlv(mlv)
 
     def others_forget(self, t: SubsetWitness, v) -> MultiplyLocated:
-        if not isinstance(v, MultiplyLocated):
-            raise ContractError("others_forget takes a multiply-located value")
-        if t.sup != v.owners:
-            raise WitnessMismatchError("witness must target the value's owners")
-        if len(t.sub) == 0:
-            raise EmptyCensusError("cannot shrink ownership to the empty set")
-        me = self._state.self_name
-        if me in t.sub:
-            mlv = _located(t.sub, True, v._value)
-        else:
-            mlv = _located(t.sub, False, None)
-        return self._record_mlv(mlv)
+        self._check_others_forget(t, v)
+        present = self._state.self_name in t.sub  # then v._value is present too
+        return self._record_mlv(_located(t.sub, present, v._value))
+
+
+def run_endpoint(
+    proc, census: Census, name: str, transport: Transport, args: Any, seed: int,
+    inputs: dict | None, log: EndpointLog,
+) -> EndpointState:
+    """Run `proc` as endpoint `name` and store its view of the result in `log`."""
+    stream = deque((inputs or {}).get(name, []))
+    state = EndpointState(name, transport, location_rng(seed, name), stream, log)
+    log.result = view(proc(EndpointBundle(state, census), args), name)
+    return state
 
 
 def project_and_run(
@@ -278,19 +204,8 @@ def project_and_run(
     """
     if self_name not in census:
         raise WitnessMismatchError(f"{self_name!r} is not in census {census.names}")
-    if isinstance(c, Choreography):
-        if c.census is not None and c.census != census:
-            raise WitnessMismatchError(
-                f"choreography declared census {c.census.names}, got {census.names}"
-            )
-        proc = c.proc
-    else:
-        proc = c
+    proc = run_proc(c, census)
     log = EndpointLog(self_name)
-    stream = deque((inputs or {}).get(self_name, []))
-    state = EndpointState(self_name, transport, location_rng(seed, self_name), stream, log)
-    bundle = EndpointBundle(state, census)
-    ret = proc(bundle, args)
-    log.result = view(ret, self_name)
+    state = run_endpoint(proc, census, self_name, transport, args, seed, inputs, log)
     report = RunReport("endpoint", seed, census.names, {self_name: log}, state.sent)
     return log.result, report

@@ -1,17 +1,13 @@
 """Simulated whole-system runs: one endpoint task per census member over the
 deterministic in-memory transport, with seeded interleaving."""
 
-from collections import deque
 from typing import Any
 
-from ..errors import WitnessMismatchError
 from ..locations import Census
-from ..ops import Choreography
-from ..seeding import location_rng
+from ..ops import run_proc
 from ..transport import SimNet
-from .endpoint import EndpointBundle, EndpointState
+from .endpoint import run_endpoint
 from .report import EndpointLog, RunReport
-from .views import view
 
 
 def run_simulated(
@@ -28,29 +24,14 @@ def run_simulated(
     blown budget) are recorded in the report, not raised; call
     `report.require_success()` to turn them into exceptions.
     """
-    if isinstance(c, Choreography):
-        if c.census is not None and c.census != census:
-            raise WitnessMismatchError(
-                f"choreography declared census {c.census.names}, got {census.names}"
-            )
-        proc = c.proc
-    else:
-        proc = c
-
+    proc = run_proc(c, census)
     net = SimNet(census.names, seed=seed, step_budget=step_budget)
     logs = {name: EndpointLog(name) for name in census.names}
 
     def make_main(name: str):
-        def main() -> None:
-            stream = deque((inputs or {}).get(name, []))
-            state = EndpointState(
-                name, net.handle(name), location_rng(seed, name), stream, logs[name]
-            )
-            bundle = EndpointBundle(state, census)
-            ret = proc(bundle, args)
-            logs[name].result = view(ret, name)
-
-        return main
+        return lambda: run_endpoint(
+            proc, census, name, net.handle(name), args, seed, inputs, logs[name]
+        )
 
     errors = net.run({name: make_main(name) for name in census.names})
     for name, err in errors.items():

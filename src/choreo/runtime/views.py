@@ -27,15 +27,10 @@ def view(value: Any, endpoint: str | None) -> Any:
             "value": view(value._value, endpoint) if present else ABSENT_MARK,
         }
     if isinstance(value, Faceted):
-        if value._facets is not None:
-            has = endpoint is not None and endpoint in value.owners
-            facet = value._facets.get(endpoint) if has else None
-        else:
-            has = value._has_own
-            facet = value._own
+        has = endpoint in value._facets
         return {
             "faceted": list(value.owners.names),
-            "facet": view(facet, endpoint) if has else ABSENT_MARK,
+            "facet": view(value._facets[endpoint], endpoint) if has else ABSENT_MARK,
         }
     if isinstance(value, Quire):
         return {"quire": [[name, view(v, endpoint)] for name, v in value.items()]}

@@ -9,7 +9,10 @@ One TCP connection per ordered (sender -> receiver) pair, established lazily
 by the sender; the receiver accepts and learns the sender's identity from the
 first envelope, inheriting per-pair FIFO from the stream.  `seq` is verified
 on arrival, so a gap or duplicate surfaces as TransportError instead of silent
-corruption.  No retries, no TLS, no partial-failure tolerance.
+corruption.  Once a named sender's connection ends, the next receive from
+that sender after its delivered frames raises TransportError at once instead
+of waiting out the receive timeout.  No retries, no TLS, no partial-failure
+tolerance.
 """
 
 import queue
@@ -148,6 +151,8 @@ class TcpTransport:
             while True:
                 payload = read_frame(conn)
                 if payload is None:
+                    if sender is not None:
+                        raise TransportError(f"{sender!r} closed the connection")
                     return
                 sender, seq, body = unpack_envelope(payload)
                 expected = self._expected.get(sender, 0)

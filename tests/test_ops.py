@@ -4,7 +4,14 @@ agreement for each operator of the bundle."""
 import pytest
 from conftest import run_agreeing, run_both
 
-from choreo import census_of, run_centralized, run_simulated, subset
+from choreo import (
+    Choreography,
+    census_of,
+    project_and_run,
+    run_centralized,
+    run_simulated,
+    subset,
+)
 from choreo.errors import (
     CensusNotOwnedError,
     ContractError,
@@ -16,6 +23,18 @@ from choreo.errors import (
 from choreo.located import Quire
 
 PCH = census_of(["p", "q", "r"])
+
+# A broken operator contract must raise the same error type at every endpoint
+# under the centralized oracle and under the endpoint projection.
+RUNNERS = pytest.mark.parametrize(
+    "run", [run_centralized, run_simulated], ids=["run_centralized", "run_simulated"]
+)
+
+
+def _fails_everywhere(report, error):
+    errors = report.errors()
+    assert set(errors) == set(report.census_names)
+    assert all(isinstance(e, error) for e in errors.values()), errors
 
 
 def test_locally_constant_no_messages():
@@ -66,20 +85,19 @@ def test_multicast_counts_and_ownership():
     assert central.result_view("q") == {"located": ["q"], "value": "x"}
 
 
-def test_multicast_requires_ownership_and_recipients():
+@RUNNERS
+def test_multicast_requires_ownership_and_recipients(run):
     def not_owner(b, args):
         v = b.locally(b.member("q"), lambda un: 1)
         return b.multicast(b.member("p"), b.everyone(), v)
 
-    report = run_centralized(not_owner, PCH)
-    assert all(isinstance(e, NotAnOwnerError) for e in report.errors().values())
+    _fails_everywhere(run(not_owner, PCH), NotAnOwnerError)
 
     def nobody(b, args):
         v = b.locally(b.member("p"), lambda un: 1)
         return b.multicast(b.member("p"), b.subset([]), v)
 
-    report = run_centralized(nobody, PCH)
-    assert all(isinstance(e, EmptyCensusError) for e in report.errors().values())
+    _fails_everywhere(run(nobody, PCH), EmptyCensusError)
 
 
 def test_broadcast_counts():
@@ -101,13 +119,13 @@ def test_broadcast_counts():
     assert len(simulated.messages) == 0
 
 
-def test_naked_requires_census_ownership():
+@RUNNERS
+def test_naked_requires_census_ownership(run):
     def chor(b, args):
         v = b.locally(b.member("p"), lambda un: 5)
         return b.naked(v)
 
-    report = run_centralized(chor, PCH)
-    assert all(isinstance(e, CensusNotOwnedError) for e in report.errors().values())
+    _fails_everywhere(run(chor, PCH), CensusNotOwnedError)
 
     def ok(b, args):
         v = b.locally(b.member("p"), lambda un: 5)
@@ -249,6 +267,15 @@ def test_parallel_facets_differ():
     assert central.result_view("q")["facet"] == "qq"
 
 
+def test_naked_faceted_payload_logs_agree():
+    # a faceted value reads as absent in a branch log under every interpreter
+    def chor(b, args):
+        inner = b.enclave(b.everyone(), lambda eb: eb.parallel(eb.everyone(), lambda loc, un: 1))
+        return b.naked(inner)
+
+    run_agreeing(chor, PCH)
+
+
 def test_scatter_counts_and_privacy():
     def chor(b, args):
         keys = b.census
@@ -331,7 +358,8 @@ def test_flatten_and_others_forget():
     assert central.result_view("r") == {"located": ["q"], "value": "?absent"}
 
 
-def test_witness_must_match_bundle_census():
+@RUNNERS
+def test_witness_must_match_bundle_census(run):
     other = census_of(["p", "q"])
 
     def chor(b, args):
@@ -339,5 +367,123 @@ def test_witness_must_match_bundle_census():
 
         return b.locally(member("p", other), lambda un: 1)
 
-    report = run_centralized(chor, PCH)
-    assert all(isinstance(e, WitnessMismatchError) for e in report.errors().values())
+    _fails_everywhere(run(chor, PCH), WitnessMismatchError)
+
+
+def _shared(b):
+    v = b.locally(b.member("p"), lambda un: 1)
+    return b.multicast(b.member("p"), b.everyone(), v)
+
+
+def _nested(b):
+    return b.enclave(b.everyone(), lambda eb: _shared(eb))
+
+
+def _empty_enclave(b, args):
+    return b.enclave(b.subset([]), lambda eb: 1)
+
+
+def _fanout_wrong_shape(b, args):
+    return b.fanout(b.everyone(), lambda q: lambda bb: bb.locally(bb.member("p"), lambda un: 1))
+
+
+def _fanout_not_located(b, args):
+    return b.fanout(b.everyone(), lambda q: lambda bb: 1)
+
+
+def _fanin_to_nobody(b, args):
+    return b.fanin(b.everyone(), b.subset([]), lambda q: lambda bb: None)
+
+
+def _fanin_wrong_owners(b, args):
+    def per(q):
+        return lambda bb: bb.locally(q, lambda un: 1)
+
+    return b.fanin(b.everyone(), b.subset(["r"]), per)
+
+
+def _flatten_outer_off_owners(b, args):
+    p = census_of(["p"])
+    return b.flatten(subset(p, census_of(["p", "q"])), subset(p, PCH), _nested(b))
+
+
+def _flatten_narrowed_sets_differ(b, args):
+    return b.flatten(b.everyone(), b.subset(["p"]), _nested(b))
+
+
+def _flatten_inner_off_nested_owners(b, args):
+    wider = subset(PCH, census_of(["p", "q", "r", "s"]))
+    return b.flatten(b.everyone(), wider, _nested(b))
+
+
+def _flatten_to_nobody(b, args):
+    return b.flatten(b.subset([]), b.subset([]), _nested(b))
+
+
+def _flatten_not_nested(b, args):
+    everyone = b.everyone()
+    return b.flatten(everyone, everyone, _shared(b))
+
+
+def _forget_to_nobody(b, args):
+    return b.others_forget(b.subset([]), _shared(b))
+
+
+def _forget_off_owners(b, args):
+    v = b.locally(b.member("p"), lambda un: 1)
+    return b.others_forget(b.subset(["p"]), v)
+
+
+@RUNNERS
+@pytest.mark.parametrize(
+    "chor, error",
+    [
+        (_empty_enclave, EmptyCensusError),
+        (_fanout_wrong_shape, ContractError),
+        (_fanout_not_located, ContractError),
+        (_fanin_to_nobody, EmptyCensusError),
+        (_fanin_wrong_owners, ContractError),
+        (_flatten_outer_off_owners, WitnessMismatchError),
+        (_flatten_narrowed_sets_differ, WitnessMismatchError),
+        (_flatten_inner_off_nested_owners, WitnessMismatchError),
+        (_flatten_to_nobody, EmptyCensusError),
+        (_flatten_not_nested, ContractError),
+        (_forget_to_nobody, EmptyCensusError),
+        (_forget_off_owners, WitnessMismatchError),
+    ],
+)
+def test_contract_violations_fail_at_every_endpoint(run, chor, error):
+    _fails_everywhere(run(chor, PCH), error)
+
+
+@RUNNERS
+def test_reshaping_takes_only_subset_witnesses(run):
+    def flatten_census(b, args):
+        return b.flatten(b.census, b.census, _nested(b))
+
+    _fails_everywhere(run(flatten_census, PCH), WitnessMismatchError)
+
+    def forget_to_member(b, args):
+        return b.others_forget(b.member("p"), _shared(b))
+
+    _fails_everywhere(run(forget_to_member, PCH), WitnessMismatchError)
+
+
+def test_declared_census_must_match_the_run():
+    other = census_of(["p", "q"])
+    declared = Choreography(lambda b, args: None, census=other)
+    message = r"declared census \('p', 'q'\), got \('p', 'q', 'r'\)"
+    with pytest.raises(WitnessMismatchError, match=message):
+        run_centralized(declared, PCH)
+    with pytest.raises(WitnessMismatchError, match=message):
+        run_simulated(declared, PCH)
+    with pytest.raises(WitnessMismatchError, match=message):
+        project_and_run(declared, PCH, "p", transport=None)  # fails before any I/O
+
+    def enclave_of_declared(b, args):
+        return b.enclave(b.subset(["p", "q", "r"]), Choreography(lambda eb, a: 1, census=other))
+
+    for run in (run_centralized, run_simulated):
+        report = run(enclave_of_declared, PCH)
+        _fails_everywhere(report, WitnessMismatchError)
+        assert all("running under ('p', 'q', 'r')" in str(e) for e in report.errors().values())

@@ -159,3 +159,20 @@ def test_close_stops_the_acceptor_and_the_listener():
     finally:
         ta.close()
         tb.close()
+
+
+def test_recv_from_a_closed_peer_fails_fast():
+    book = {"a": f"127.0.0.1:{free_port()}", "b": f"127.0.0.1:{free_port()}"}
+    ta = TcpTransport("a", book, recv_timeout=5)
+    tb = TcpTransport("b", book, recv_timeout=5)
+    try:
+        ta.send("b", b"last")
+        ta.close()
+        assert tb.recv("a") == b"last"  # frames sent before the close still arrive
+        started = time.monotonic()
+        with pytest.raises(TransportError, match="closed the connection"):
+            tb.recv("a")
+        assert time.monotonic() - started < 1.0
+    finally:
+        ta.close()
+        tb.close()
