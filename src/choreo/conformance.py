@@ -70,10 +70,8 @@ def compare_runs(ex: ExampleRun, central, simulated) -> list[str]:
     if len(central.messages) != len(simulated.messages):
         problems.append(f"{ex.name}: message counts differ")
     problems += [f"{ex.name}: {p}" for p in check_value_agreement(simulated)]
-    problems += [f"{ex.name}: {p}" for p in check_value_agreement(central)]
     problems += [f"{ex.name}: {p}" for p in check_fifo(simulated)]
     problems += [f"{ex.name}: {p}" for p in check_branch_agreement(simulated)]
-    problems += [f"{ex.name}: {p}" for p in check_branch_agreement(central)]
     return problems
 
 

@@ -35,7 +35,8 @@ class ValueRecord:
     of a census context execute the same operator sequence, so their per-sig
     counters align.  `state` is present/absent for located values and
     facet/nofacet for faceted values; `payload` is the canonical encoding when
-    the payload is portable and visible here.
+    the payload is portable and visible here.  Only projected endpoints write
+    these: the centralized oracle holds one value, whose records always agree.
     """
 
     sig: tuple[str, ...]
@@ -48,6 +49,9 @@ class ValueRecord:
 
 @dataclass
 class EndpointLog:
+    """Only projected endpoints fill `events` and `values`: the centralized
+    oracle computes one view for all members, which could not disagree."""
+
     name: str
     events: list[tuple] = field(default_factory=list)
     branches: list[BranchRecord] = field(default_factory=list)
@@ -85,9 +89,6 @@ class RunReport:
 
     def branch_outcomes(self, name: str) -> list[tuple[tuple[str, ...], int, str]]:
         return [(b.sig, b.index, b.outcome.hex()) for b in self.endpoints[name].branches]
-
-    def message_count(self, senders=None, receivers=None) -> int:
-        return count_messages(self.messages, senders=senders, receivers=receivers)
 
     def serialize(self) -> str:
         lines = []

@@ -9,9 +9,9 @@ One TCP connection per ordered (sender -> receiver) pair, established lazily
 by the sender; the receiver accepts and learns the sender's identity from the
 first envelope, inheriting per-pair FIFO from the stream.  `seq` is verified
 on arrival, so a gap or duplicate surfaces as TransportError instead of silent
-corruption.  Once a named sender's connection ends, the next receive from
-that sender after its delivered frames raises TransportError at once instead
-of waiting out the receive timeout.  No retries, no TLS, no partial-failure
+corruption.  Once a named sender's connection ends, every receive from that
+sender after its delivered frames raises TransportError at once instead of
+waiting out the receive timeout.  No retries, no TLS, no partial-failure
 tolerance.
 """
 
@@ -211,6 +211,7 @@ class TcpTransport:
                     raise TransportError(f"receive failed: {self._fault}") from self._fault
                 continue
             if kind == "err":
+                q.put((kind, item))  # the sender is gone: later receives fail too
                 raise TransportError(f"receive from {frm!r} failed: {item}") from item
             return item
 

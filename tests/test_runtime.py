@@ -1,5 +1,5 @@
 """Interpreter-level properties: oracle equivalence, projection erasure,
-per-endpoint randomness, report serialization, and the value-agreement check
+per-endpoint randomness, report serialization, and the invariant checks
 catching real divergence."""
 
 import pytest
@@ -7,8 +7,17 @@ from conftest import run_agreeing
 
 from choreo import census_of, project_and_run, run_centralized, run_simulated
 from choreo.errors import CommitmentFailed, StepBudgetExceeded, WitnessMismatchError
-from choreo.runtime import check_value_agreement
+from choreo.runtime import (
+    BranchRecord,
+    EndpointLog,
+    RunReport,
+    ValueRecord,
+    check_branch_agreement,
+    check_fifo,
+    check_value_agreement,
+)
 from choreo.seeding import location_rng
+from choreo.transport import MessageRecord
 
 THREE = census_of(["a", "b", "c"])
 
@@ -133,6 +142,82 @@ def test_value_agreement_catches_divergence():
     report = run_simulated(diverging, THREE)
     report.require_success()
     assert check_value_agreement(report) != []
+
+
+AB = ("a", "b")
+
+
+def _report(messages=(), branches=None, values=None):
+    """A simulated-mode report over census (a, b) from hand-built records."""
+    logs = {
+        n: EndpointLog(n, branches=(branches or {}).get(n, []),
+                       values=(values or {}).get(n, []))
+        for n in AB
+    }
+    return RunReport("simulated", 0, AB, logs, list(messages))
+
+
+def _mlv(owners, state, payload):
+    return ValueRecord(AB, 0, "mlv", owners, state, payload)
+
+
+@pytest.mark.parametrize("check, report, problem", [
+    pytest.param(
+        check_fifo,
+        _report(messages=[MessageRecord("a", "b", 1, 0, t_send=0, t_recv=2),
+                          MessageRecord("a", "b", 1, 2, t_send=1, t_recv=3)]),
+        "('a', 'b'): send #1 has seq 2",
+        id="fifo-seq-gap"),
+    pytest.param(
+        check_fifo,
+        _report(messages=[MessageRecord("a", "b", 1, 0, t_send=0, t_recv=5),
+                          MessageRecord("a", "b", 1, 1, t_send=1, t_recv=3)]),
+        "('a', 'b'): consumption order violates FIFO",
+        id="fifo-consumed-out-of-order"),
+    pytest.param(
+        check_branch_agreement,
+        _report(branches={"a": [BranchRecord(AB, 0, b"\x01")],
+                          "b": [BranchRecord(AB, 0, b"\x02")]}),
+        "branch outcomes disagree within census ('a', 'b')",
+        id="branch-outcomes-disagree"),
+    pytest.param(
+        check_branch_agreement,
+        _report(branches={"a": [BranchRecord(AB, 0, b"\x01")]}),
+        "b logged no branch outcomes for census ('a', 'b')",
+        id="branch-member-logged-none"),
+    pytest.param(
+        check_value_agreement,
+        _report(values={"a": [_mlv(("a",), "present", b"x")],
+                        "b": [_mlv(AB, "present", b"x")]}),
+        "mlv #0 under ('a', 'b'): endpoints disagree on the owner set",
+        id="value-owner-sets-differ"),
+    pytest.param(
+        check_value_agreement,
+        _report(values={"a": [_mlv(("a",), "present", b"x")],
+                        "b": [_mlv(("a",), "present", b"x")]}),
+        "mlv #0 under ('a', 'b'): present at b, expected absent",
+        id="value-present-at-non-owner"),
+    pytest.param(
+        check_value_agreement,
+        _report(values={"a": [_mlv(AB, "present", b"x")],
+                        "b": [_mlv(AB, "present", b"y")]}),
+        "mlv #0 under ('a', 'b'): owners hold different encodings",
+        id="value-encodings-differ"),
+    pytest.param(
+        check_value_agreement,
+        _report(values={"a": [_mlv(AB, "present", b"x")],
+                        "b": [_mlv(AB, "present", None)]}),
+        "mlv #0 under ('a', 'b'): owners disagree on encodability",
+        id="value-encodability-differs"),
+    pytest.param(
+        check_value_agreement,
+        _report(values={n: [ValueRecord(AB, 0, "faceted", ("a",), "facet", b"x")]
+                        for n in AB}),
+        "faceted #0 under ('a', 'b'): facet at b, expected nofacet",
+        id="value-facet-at-non-owner"),
+])
+def test_invariant_checks_report_each_problem(check, report, problem):
+    assert check(report) == [problem]
 
 
 def test_centralized_failure_tags_the_raising_endpoint():

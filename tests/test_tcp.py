@@ -172,6 +172,8 @@ def test_recv_from_a_closed_peer_fails_fast():
         started = time.monotonic()
         with pytest.raises(TransportError, match="closed the connection"):
             tb.recv("a")
+        with pytest.raises(TransportError, match="closed the connection"):
+            tb.recv("a")  # and every later receive from the closed peer
         assert time.monotonic() - started < 1.0
     finally:
         ta.close()
