@@ -179,17 +179,9 @@ def _cmd_count_messages(ns) -> int:
 
 
 def _cmd_conformance(ns) -> int:
-    names = ns.suite if ns.suite else None
     parties_counts = (ns.parties,) if ns.parties else (2, 3)
     try:
-        results = conformance.run_suites(
-            names,
-            seeds=ns.seeds,
-            deadlock_seeds=ns.deadlock_seeds,
-            lottery_runs=ns.lottery_runs,
-            parties_counts=parties_counts,
-            gmw_depth=ns.gmw_depth,
-        )
+        results = conformance.run_suites(ns.suite, parties_counts)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     for result in results:
@@ -237,11 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     conf = sub.add_parser("conformance", help="run the conformance suites")
     conf.add_argument("--suite", action="append",
                       help="suite name (repeatable); default runs all positive suites")
-    conf.add_argument("--seeds", type=int, default=20)
-    conf.add_argument("--deadlock-seeds", type=int, default=50, dest="deadlock_seeds")
-    conf.add_argument("--lottery-runs", type=int, default=100, dest="lottery_runs")
     conf.add_argument("--parties", type=int, help="restrict the gmw suite to one party count")
-    conf.add_argument("--gmw-depth", type=int, default=2, dest="gmw_depth")
     conf.set_defaults(func=_cmd_conformance)
     return parser
 

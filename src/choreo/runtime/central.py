@@ -141,7 +141,7 @@ def run_centralized(
     proc = run_proc(c, census)
     state = _CentralState(census, seed, inputs or {})
     bundle = CentralBundle(state, census)
-    report = RunReport("centralized", seed, census.names, state.logs, state.messages)
+    report = RunReport(census.names, state.logs, state.messages)
     try:
         ret = proc(bundle, args)
     except _EndpointAbort as abort:

@@ -207,5 +207,5 @@ def project_and_run(
     proc = run_proc(c, census)
     log = EndpointLog(self_name)
     state = run_endpoint(proc, census, self_name, transport, args, seed, inputs, log)
-    report = RunReport("endpoint", seed, census.names, {self_name: log}, state.sent)
+    report = RunReport(census.names, {self_name: log}, state.sent)
     return log.result, report

@@ -62,8 +62,6 @@ class EndpointLog:
 
 @dataclass
 class RunReport:
-    mode: str
-    seed: int
     census_names: tuple[str, ...]
     endpoints: dict[str, EndpointLog]
     messages: list[MessageRecord]

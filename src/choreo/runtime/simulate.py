@@ -36,4 +36,4 @@ def run_simulated(
     errors = net.run({name: make_main(name) for name in census.names})
     for name, err in errors.items():
         logs[name].error = err
-    return RunReport("simulate", seed, census.names, logs, net.messages)
+    return RunReport(census.names, logs, net.messages)

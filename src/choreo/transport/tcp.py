@@ -9,10 +9,15 @@ One TCP connection per ordered (sender -> receiver) pair, established lazily
 by the sender; the receiver accepts and learns the sender's identity from the
 first envelope, inheriting per-pair FIFO from the stream.  `seq` is verified
 on arrival, so a gap or duplicate surfaces as TransportError instead of silent
-corruption.  Once a named sender's connection ends, every receive from that
-sender after its delivered frames raises TransportError at once instead of
-waiting out the receive timeout.  No retries, no TLS, no partial-failure
-tolerance.
+corruption.
+
+Every fault surfaces at once instead of after the receive timeout.  Once a
+named sender's connection ends, every receive from that sender after its
+delivered frames raises TransportError.  A connection that fails before
+naming its sender, or that names a location outside the address book, fails
+every receive from every peer after their delivered frames.  A receive from a
+location outside the address book raises at once.  No retries, no TLS, no
+partial-failure tolerance.
 """
 
 import queue
@@ -114,13 +119,10 @@ class TcpTransport:
         self._addresses = {n: _parse_address(a) for n, a in address_book.items()}
         self._recv_timeout = recv_timeout
         self._connect_timeout = connect_timeout
-        self._queues: dict[str, queue.Queue] = {}
-        self._queues_lock = threading.Lock()
+        self._queues = {n: queue.Queue() for n in self._addresses if n != self_name}
         self._out: dict[str, socket.socket] = {}
         self._seqs: dict[str, int] = {}
         self._expected: dict[str, int] = {}
-        self._fault: BaseException | None = None
-        self._closed = False
 
         host, port = self._addresses[self_name]
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -131,14 +133,8 @@ class TcpTransport:
         self._acceptor = threading.Thread(target=self._accept_loop, daemon=True)
         self._acceptor.start()
 
-    def _queue_for(self, name: str) -> queue.Queue:
-        with self._queues_lock:
-            if name not in self._queues:
-                self._queues[name] = queue.Queue()
-            return self._queues[name]
-
     def _accept_loop(self) -> None:
-        while not self._closed:
+        while True:
             try:
                 conn, _ = self._listener.accept()
             except OSError:
@@ -155,18 +151,19 @@ class TcpTransport:
                         raise TransportError(f"{sender!r} closed the connection")
                     return
                 sender, seq, body = unpack_envelope(payload)
+                if sender not in self._queues:
+                    raise TransportError(f"frame from unknown sender {sender!r}")
                 expected = self._expected.get(sender, 0)
                 if seq != expected:
                     raise TransportError(
                         f"out-of-order message from {sender!r}: seq {seq}, expected {expected}"
                     )
                 self._expected[sender] = expected + 1
-                self._queue_for(sender).put(("ok", body))
+                self._queues[sender].put(("ok", body))
         except BaseException as exc:
-            if sender is not None:
-                self._queue_for(sender).put(("err", exc))
-            else:
-                self._fault = exc
+            named = self._queues.get(sender)
+            for q in self._queues.values() if named is None else [named]:
+                q.put(("err", exc))
         finally:
             conn.close()
 
@@ -198,22 +195,17 @@ class TcpTransport:
                 time.sleep(0.05)
 
     def recv(self, frm: str) -> bytes:
-        q = self._queue_for(frm)
-        deadline = time.monotonic() + self._recv_timeout
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TransportError(f"timed out waiting for a message from {frm!r}")
-            try:
-                kind, item = q.get(timeout=min(remaining, 0.5))
-            except queue.Empty:
-                if self._fault is not None:
-                    raise TransportError(f"receive failed: {self._fault}") from self._fault
-                continue
-            if kind == "err":
-                q.put((kind, item))  # the sender is gone: later receives fail too
-                raise TransportError(f"receive from {frm!r} failed: {item}") from item
-            return item
+        q = self._queues.get(frm)
+        if q is None:
+            raise TransportError(f"{frm!r} is not a peer of {self.self_name!r}")
+        try:
+            kind, item = q.get(timeout=self._recv_timeout)
+        except queue.Empty:
+            raise TransportError(f"timed out waiting for a message from {frm!r}") from None
+        if kind == "err":
+            q.put((kind, item))  # the fault is permanent: later receives fail too
+            raise TransportError(f"receive from {frm!r} failed: {item}") from item
+        return item
 
     def close(self) -> None:
         """Close every socket and join the acceptor.
@@ -222,7 +214,6 @@ class TcpTransport:
         shutting it down first does.  Raises TransportError if the acceptor
         is still alive afterwards.
         """
-        self._closed = True
         try:
             self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:

@@ -2,33 +2,35 @@
 
 One test per criterion, each printing a PASS/FAIL line with what it covered
 and how long it took (every criterion carries a runtime budget, asserted
-here).  All tolerances are exact.
+here).  All tolerances are exact.  A criterion that `choreo conformance` also
+checks is stated once, in its suite in choreo.conformance, and its test runs
+that suite.
 """
 
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
-import pytest
+from conftest import enclave_intervals, run_agreeing
 
-from choreo import census_of, run_centralized, run_simulated
+import choreo
+from choreo import census_of, decode, run_simulated
 from choreo.conformance import (
-    MIXED_SCRIPT,
     _equivalence_examples,
-    compare_runs,
-    expected_lottery_winner,
-    lottery_commit_ordering_problems,
-    message_economy_counts,
     run_both,
+    suite_deadlock,
     suite_gmw,
+    suite_lottery,
+    suite_message_economy,
+    suite_oracle_equivalence,
 )
-from choreo.errors import CommitmentFailed, StepBudgetExceeded
 from choreo.examples import build_example
 from choreo.protocols import gmw as G
 from choreo.protocols.kvs import Get, Put, reference_responses
-from choreo.protocols.lottery import FIELD_MODULUS, Tamper
 from choreo.runtime import check_value_agreement
 from choreo.transport import free_port
 
@@ -39,49 +41,35 @@ def _finish(name: str, budget_s: float, started: float, detail: str) -> None:
     assert elapsed < budget_s, f"{name} exceeded its runtime budget"
 
 
+def _accept(name: str, budget_s: float, suite, note: str = "") -> None:
+    """Run a conformance suite as the acceptance criterion `name`."""
+    started = time.monotonic()
+    result = suite()
+    assert result.passed, result.detail
+    _finish(name, budget_s, started, result.detail + note)
+
+
 def _client_responses(report):
     return report.result_view("client")["map"][0][1]["value"]
 
 
 def test_message_economy():
-    started = time.monotonic()
-    checked = []
-    for script, expect in (
-        ([Get("k")], (4, 3)),
-        ([Put("k", 5)], (5, 4)),
-        (list(MIXED_SCRIPT), None),
-    ):
-        counts = message_economy_counts(script)
-        b, e = counts["kvs-broadcast"], counts["kvs-enclave"]
-        if expect is not None:
-            assert (b["messages"], e["messages"]) == expect
-        assert b["messages"] - e["messages"] == len(script)
-        assert b["responses"] == e["responses"] == reference_responses(script)
-        checked.append(f"{len(script)} reqs: {b['messages']} vs {e['messages']}")
-    _finish("message-economy", 1.0, started, "; ".join(checked))
+    _accept("message-economy", 1.0, suite_message_economy)
 
 
 def test_error_path_reuse():
     started = time.monotonic()
     script = [Put("k", 5), Get("k")]
     ex = build_example("kvs-error-handling", script=script, fail_puts=[0])
-    report = run_simulated(ex.choreography, ex.census, ex.args, seed=0, inputs=ex.inputs)
-    report.require_success()
+    _, report = run_agreeing(ex.choreography, ex.census, ex.args, inputs=ex.inputs)
     assert _client_responses(report) == [-1, 0]
+    primary_store = report.result_view("primary")["map"][1][1]["map"][1][1]["value"]
+    assert primary_store == {"map": []}, "primary store changed on a failed put"
 
-    sig = ("primary", "backup")
     follow_up_quiet = 0
     for server in ("primary", "backup"):
-        events = report.endpoints[server].events
-        intervals = []
-        start = None
-        for i, event in enumerate(events):
-            if event[0] == "enter" and event[1] == sig:
-                start = i
-            elif event[0] == "exit" and event[1] == sig and start is not None:
-                intervals.append(events[start + 1 : i])
-                start = None
-        assert len(intervals) == 4  # two enclaves per request
+        intervals = enclave_intervals(report.endpoints[server].events, ("primary", "backup"))
+        assert len(intervals) == 2 * len(script)  # two enclaves per request
         for follow_up in intervals[1::2]:
             traffic = [e for e in follow_up if e[0] in ("send", "recv")]
             assert traffic == [], f"{server} communicated inside the follow-up enclave"
@@ -89,14 +77,19 @@ def test_error_path_reuse():
     # both servers took the error branch: their branch logs agree, and the
     # decision they shared carries the nonzero backup status
     assert report.branch_outcomes("primary") == report.branch_outcomes("backup")
-    from choreo import decode
-
     statuses = [
         decoded[1]
         for rec in report.endpoints["primary"].branches
         if isinstance((decoded := decode(rec.outcome)), tuple)
     ]
     assert 1 in statuses, "no server saw the failing status"
+
+    # the failing run costs exactly as much as a healthy one
+    healthy = build_example("kvs-error-handling", script=script)
+    _, healthy_report = run_agreeing(healthy.choreography, healthy.census, healthy.args,
+                                     inputs=healthy.inputs)
+    assert _client_responses(healthy_report) == [0, 5]
+    assert len(report.messages) == len(healthy_report.messages)
     _finish("error-path-reuse", 1.0, started,
             f"{follow_up_quiet} follow-up enclaves exchanged 0 messages; "
             "error branch taken at both servers")
@@ -125,16 +118,9 @@ def test_census_polymorphism():
 
 
 def test_gmw_against_oracle():
-    started = time.monotonic()
-    result = suite_gmw(parties_counts=(2, 3), exhaustive_depth=2,
-                       depth3_samples=40, sim_samples=12, sim_seeds=5)
-    assert result.passed, result.detail
-    _finish(
-        "gmw-oracle", 300.0, started,
-        result.detail
-        + " (exhaustive gate-depth<=2: 2596 circuits for n=2, 6055 for n=3, all input"
-          " assignments; seeded depth-3 samples; simulated samples with 5 seeds)",
-    )
+    _accept("gmw-oracle", 300.0, suite_gmw,
+            " (exhaustive gate-depth<=2: 2596 circuits for n=2, 6055 for n=3, all input"
+            " assignments; seeded depth-3 samples; simulated samples with 5 seeds)")
 
 
 def test_ot2_truth_table():
@@ -148,7 +134,7 @@ def test_ot2_truth_table():
         return G.ot2(b, b.member("sender"), b.member("receiver"), pair, select)
 
     for b1, b2, s in itertools.product((False, True), repeat=3):
-        central, simulated = run_both_and_require(chor, census, (b1, b2, s))
+        central, simulated = run_agreeing(chor, census, (b1, b2, s))
         expected = b2 if s else b1
         for report in (central, simulated):
             assert report.result_view("receiver") == {
@@ -161,80 +147,16 @@ def test_ot2_truth_table():
             "all 8 (b1,b2,s) combinations selected correctly, 2 messages each")
 
 
-def run_both_and_require(chor, census, args, seed=0, inputs=None):
-    central, simulated = run_both_raw(chor, census, args, seed, inputs)
-    central.require_success()
-    simulated.require_success()
-    return central, simulated
-
-
-def run_both_raw(chor, census, args, seed=0, inputs=None):
-    central = run_centralized(chor, census, args, seed=seed, inputs=inputs)
-    simulated = run_simulated(chor, census, args, seed=seed, inputs=inputs)
-    return central, simulated
-
-
 def test_lottery():
-    started = time.monotonic()
-    servers = ("server1", "server2", "server3")
-    for seed in range(100):
-        ex = build_example("lottery", servers=3, clients=4)
-        report = run_simulated(ex.choreography, ex.census, ex.args, seed=seed, inputs=ex.inputs)
-        report.require_success()
-        winner = expected_lottery_winner(seed, servers, 4)
-        expected = ex.inputs[f"client{winner + 1}"][0] % FIELD_MODULUS
-        assert report.result_view("analyst")["value"] == expected, seed
-        assert lottery_commit_ordering_problems(report, servers) == [], seed
-
-    tampered = build_example("lottery", servers=3, clients=4,
-                             tamper=Tamper("server3", "draw"))
-    report = run_simulated(tampered.choreography, tampered.census, tampered.args,
-                           seed=5, inputs=tampered.inputs)
-    errors = report.errors()
-    for name in servers:
-        assert isinstance(errors[name], CommitmentFailed), name
-    _finish("lottery", 30.0, started,
-            "100 seeded runs select the predicted secret; openings wait for all "
-            "commitments; tamper fails every server")
+    _accept("lottery", 30.0, suite_lottery)
 
 
 def test_deadlock_freedom():
-    started = time.monotonic()
-    runs = 0
-    for ex in _equivalence_examples():
-        for seed in range(50):
-            report = run_simulated(ex.choreography, ex.census, ex.args,
-                                   seed=seed, inputs=ex.inputs)
-            report.require_success()
-            runs += 1
-    broken = build_example("broken-pair")
-    report = run_simulated(broken.choreography, broken.census, broken.args, seed=0)
-    assert any(isinstance(e, StepBudgetExceeded) for e in report.errors().values()), \
-        "negative control was not flagged"
-    _finish("deadlock-freedom", 120.0, started,
-            f"{runs} runs completed within budget; negative control flagged "
-            "StepBudgetExceeded")
+    _accept("deadlock-freedom", 120.0, suite_deadlock)
 
 
 def test_projection_soundness_completeness():
-    started = time.monotonic()
-    runs = 0
-    for ex in _equivalence_examples():
-        counts = set()
-        for seed in range(20):
-            central, simulated = run_both(ex, seed)
-            central.require_success()
-            simulated.require_success()
-            problems = compare_runs(ex, central, simulated)
-            assert problems == [], problems
-            counts.add(len(simulated.messages))
-            runs += 1
-        # message totals are independent of transport and seed
-        assert len(counts) == 1, (ex.name, counts)
-    _finish("projection-equivalence", 120.0, started,
-            f"{runs} simulated runs equal the centralized oracle "
-            "(results and branch logs, every endpoint); message counts "
-            "seed-independent")
+    _accept("projection-equivalence", 120.0, suite_oracle_equivalence)
 
 
 def _run_tcp_processes(example: str, extra: list[str], census_names, seed: int):
@@ -245,13 +167,17 @@ def _run_tcp_processes(example: str, extra: list[str], census_names, seed: int):
     with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
         fh.write(config)
         config_path = fh.name
+    # the children import the same choreo package as this process
+    src = str(Path(choreo.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
     procs = {}
     for name in census_names:
         argv = [sys.executable, "-m", "choreo", "run", "--example", example,
                 "--mode", "endpoint", "--role", name, "--config", config_path,
                 "--seed", str(seed), "--recv-timeout", "20"] + extra
         procs[name] = subprocess.Popen(
-            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env
         )
     results = {}
     for name, proc in procs.items():
@@ -301,7 +227,6 @@ def test_multiply_located_agreement():
             central, simulated = run_both(ex, seed)
             central.require_success()
             simulated.require_success()
-            assert check_value_agreement(central) == [], (ex.name, seed)
             assert check_value_agreement(simulated) == [], (ex.name, seed)
             checked += sum(
                 sum(1 for r in log.values if r.kind == "mlv" and len(r.owners) >= 2)

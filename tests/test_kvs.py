@@ -101,44 +101,6 @@ def test_enclave_saves_one_message_per_request():
         assert client_responses(broadcast) == client_responses(enclave)
 
 
-def _enclave_intervals(events, sig):
-    """Slices of an endpoint's event list between enter/exit of `sig`."""
-    intervals = []
-    depth_start = None
-    for i, event in enumerate(events):
-        if event[0] == "enter" and event[1] == sig:
-            depth_start = i
-        elif event[0] == "exit" and event[1] == sig and depth_start is not None:
-            intervals.append(events[depth_start + 1 : i])
-            depth_start = None
-    return intervals
-
-
-def test_error_path_reuses_knowledge_without_messages():
-    script = [Put("k", 5), Get("k")]
-    ex, report = run_variant("kvs-error-handling", script, fail_puts=[0])
-    # failing put surfaces as -1 and does not change the primary store
-    assert client_responses(report) == [-1, 0]
-    primary_store = report.result_view("primary")["map"][1][1]["map"][1][1]["value"]
-    assert primary_store == {"map": []}
-
-    sig = ("primary", "backup")
-    for server in ("primary", "backup"):
-        intervals = _enclave_intervals(report.endpoints[server].events, sig)
-        # two enclaves per request; every second one is the follow-up
-        assert len(intervals) == 2 * len(script)
-        for follow_up in intervals[1::2]:
-            assert [e for e in follow_up if e[0] in ("send", "recv")] == []
-
-    # both servers took the same branch on the persisted status
-    assert report.branch_outcomes("primary") == report.branch_outcomes("backup")
-
-    # the failing run costs exactly as much as a healthy one
-    _, healthy = run_variant("kvs-error-handling", script)
-    assert len(report.messages) == len(healthy.messages)
-    assert client_responses(healthy) == [0, 5]
-
-
 def test_error_path_client_stays_out_of_enclaves():
     script = [Put("k", 5)]
     _, report = run_variant("kvs-error-handling", script, fail_puts=[0])

@@ -148,13 +148,13 @@ AB = ("a", "b")
 
 
 def _report(messages=(), branches=None, values=None):
-    """A simulated-mode report over census (a, b) from hand-built records."""
+    """A report over census (a, b) from hand-built records."""
     logs = {
         n: EndpointLog(n, branches=(branches or {}).get(n, []),
                        values=(values or {}).get(n, []))
         for n in AB
     }
-    return RunReport("simulated", 0, AB, logs, list(messages))
+    return RunReport(AB, logs, list(messages))
 
 
 def _mlv(owners, state, payload):

@@ -84,11 +84,11 @@ def test_loopback_echo_byte_identical():
 
 
 def test_recv_timeout():
-    book = {"a": f"127.0.0.1:{free_port()}"}
+    book = {"a": f"127.0.0.1:{free_port()}", "b": f"127.0.0.1:{free_port()}"}
     ta = TcpTransport("a", book, recv_timeout=0.2)
     try:
-        with pytest.raises(TransportError):
-            ta.recv("ghost")
+        with pytest.raises(TransportError, match="timed out"):
+            ta.recv("b")  # a peer that never sends
     finally:
         ta.close()
 
@@ -178,3 +178,35 @@ def test_recv_from_a_closed_peer_fails_fast():
     finally:
         ta.close()
         tb.close()
+
+
+@pytest.mark.parametrize("payload", [
+    b"\xff\xff\xff",  # not a portable encoding
+    pack_envelope("mallory", 0, b"x"),  # a sender outside the address book
+], ids=["garbage", "unknown-sender"])
+def test_a_faulty_connection_fails_every_recv_fast(payload):
+    book = {n: f"127.0.0.1:{free_port()}" for n in ("a", "b", "c")}
+    tb = TcpTransport("b", book, recv_timeout=5)
+    try:
+        with socket.create_connection(("127.0.0.1", tb.port)) as rogue:
+            write_frame(rogue, payload)
+            started = time.monotonic()
+            for peer in ("a", "c"):
+                with pytest.raises(TransportError):
+                    tb.recv(peer)
+            assert time.monotonic() - started < 0.25
+    finally:
+        tb.close()
+
+
+def test_recv_from_a_non_peer_fails_at_once():
+    book = {"a": f"127.0.0.1:{free_port()}", "b": f"127.0.0.1:{free_port()}"}
+    ta = TcpTransport("a", book, recv_timeout=5)
+    try:
+        started = time.monotonic()
+        for name in ("ghost", "a"):
+            with pytest.raises(TransportError, match="is not a peer"):
+                ta.recv(name)
+        assert time.monotonic() - started < 0.25
+    finally:
+        ta.close()
