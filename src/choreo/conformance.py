@@ -4,6 +4,11 @@ Each suite returns a SuiteResult.  `choreo conformance` prints them and exits
 nonzero on any failure; the acceptance tests in tests/test_acceptance.py call
 the same suites and assert that they pass, so each criterion is checked here
 and nowhere else.
+
+The value audit is off by default in projected runs.  The two suites that
+check value agreement, oracle equivalence (through `run_both`) and the
+lottery, run the simulator with `audit=True`; the others, `gmw_check`
+included, read no values or events and leave it off.
 """
 
 import random
@@ -58,7 +63,9 @@ def _equivalence_examples() -> list[ExampleRun]:
 
 def run_both(ex: ExampleRun, seed: int):
     central = run_centralized(ex.choreography, ex.census, ex.args, seed=seed, inputs=ex.inputs)
-    simulated = run_simulated(ex.choreography, ex.census, ex.args, seed=seed, inputs=ex.inputs)
+    simulated = run_simulated(
+        ex.choreography, ex.census, ex.args, seed=seed, inputs=ex.inputs, audit=True
+    )
     return central, simulated
 
 
@@ -254,7 +261,9 @@ def suite_lottery() -> SuiteResult:
     server_names = ("server1", "server2", "server3")
     for seed in range(100):
         ex = build_example("lottery", servers=3, clients=4)
-        report = run_simulated(ex.choreography, ex.census, ex.args, seed=seed, inputs=ex.inputs)
+        report = run_simulated(
+            ex.choreography, ex.census, ex.args, seed=seed, inputs=ex.inputs, audit=True
+        )
         report.require_success()
         winner = expected_lottery_winner(seed, server_names, 4)
         expected = ex.inputs[f"client{winner + 1}"][0] % FIELD_MODULUS

@@ -5,6 +5,13 @@ location over a transport, then simply calls the choreography with it: values
 this endpoint does not own surface as absent, sends happen where this endpoint
 is the sender, receives where it is a recipient, and enclaves it is outside of
 are skipped entirely.
+
+The value audit is opt-in.  With `audit=True` an endpoint also records a
+`ValueRecord` for every value it constructs and a send/recv/enter/exit event
+trail, which `check_value_agreement` and the tests read; the conformance
+suites and tests that check values or events turn it on.  By default only
+the branch log and the message log are kept, which is all that
+`RunReport.serialize()` and the comparison with the oracle read.
 """
 
 from collections import deque
@@ -30,6 +37,7 @@ class EndpointState:
         self.rng = rng
         self.inputs = inputs
         self.log = log
+        self.audit = log.audited
         self.clock = 0
         self.value_counters: dict[tuple, int] = {}
         self.branch_counters: dict[tuple, int] = {}
@@ -47,13 +55,15 @@ class EndpointState:
         self.sent.append(
             MessageRecord(self.self_name, to, len(data), seq, t_send=self.tick())
         )
-        self.log.events.append(("send", to, len(data)))
+        if self.audit:
+            self.log.events.append(("send", to, len(data)))
         self.transport.send(to, data)
 
     def recv(self, frm: str) -> bytes:
         data = self.transport.recv(frm)
         self.tick()
-        self.log.events.append(("recv", frm, len(data)))
+        if self.audit:
+            self.log.events.append(("recv", frm, len(data)))
         return data
 
 
@@ -68,6 +78,8 @@ class EndpointBundle(OperatorBundle):
     # -- recording ----------------------------------------------------------
 
     def _record_mlv(self, mlv: MultiplyLocated) -> MultiplyLocated:
+        if not self._state.audit:
+            return mlv
         sig = self._census.names
         seq = self._state.value_counters.get(sig, 0)
         self._state.value_counters[sig] = seq + 1
@@ -80,6 +92,8 @@ class EndpointBundle(OperatorBundle):
         return mlv
 
     def _record_faceted(self, f: Faceted) -> Faceted:
+        if not self._state.audit:
+            return f
         sig = self._census.names
         seq = self._state.value_counters.get(sig, 0)
         self._state.value_counters[sig] = seq + 1
@@ -135,9 +149,11 @@ class EndpointBundle(OperatorBundle):
         proc = self._check_enclave(s, c)
         sig = s.sub.names
         if self._state.self_name in s.sub:
-            self._state.log.events.append(("enter", sig))
+            if self._state.audit:
+                self._state.log.events.append(("enter", sig))
             ret = proc(self._child(s.sub))
-            self._state.log.events.append(("exit", sig))
+            if self._state.audit:
+                self._state.log.events.append(("exit", sig))
             mlv = _located(s.sub, True, ret)
         else:
             mlv = _located(s.sub, False, None)
@@ -178,9 +194,11 @@ class EndpointBundle(OperatorBundle):
 
 def run_endpoint(
     proc, census: Census, name: str, transport: Transport, args: Any, seed: int,
-    inputs: dict | None, log: EndpointLog,
+    inputs: dict | None, log: EndpointLog, audit: bool = False,
 ) -> EndpointState:
-    """Run `proc` as endpoint `name` and store its view of the result in `log`."""
+    """Run `proc` as endpoint `name` and store its view of the result in `log`,
+    with the value audit and event trail too when `audit` is set."""
+    log.audited = audit
     stream = deque((inputs or {}).get(name, []))
     state = EndpointState(name, transport, location_rng(seed, name), stream, log)
     log.result = view(proc(EndpointBundle(state, census), args), name)
@@ -195,17 +213,18 @@ def project_and_run(
     args: Any = None,
     seed: int = 0,
     inputs: dict | None = None,
+    audit: bool = False,
 ) -> tuple[Any, RunReport]:
     """Run the choreography as one endpoint over a real transport.
 
     Returns this endpoint's view of the result and a single-endpoint report
-    fragment (its sends, receives, branch log).  Protocol and transport errors
-    propagate to the caller.
+    fragment (its sends, branch log, and with `audit` its value audit and
+    event trail).  Protocol and transport errors propagate to the caller.
     """
     if self_name not in census:
         raise WitnessMismatchError(f"{self_name!r} is not in census {census.names}")
     proc = run_proc(c, census)
     log = EndpointLog(self_name)
-    state = run_endpoint(proc, census, self_name, transport, args, seed, inputs, log)
+    state = run_endpoint(proc, census, self_name, transport, args, seed, inputs, log, audit)
     report = RunReport(census.names, {self_name: log}, state.sent)
     return log.result, report

@@ -36,7 +36,8 @@ class ValueRecord:
     counters align.  `state` is present/absent for located values and
     facet/nofacet for faceted values; `payload` is the canonical encoding when
     the payload is portable and visible here.  Only projected endpoints write
-    these: the centralized oracle holds one value, whose records always agree.
+    these, and only when their run is audited (`audit=True`): the centralized
+    oracle holds one value, whose records always agree.
     """
 
     sig: tuple[str, ...]
@@ -49,10 +50,18 @@ class ValueRecord:
 
 @dataclass
 class EndpointLog:
-    """Only projected endpoints fill `events` and `values`: the centralized
-    oracle computes one view for all members, which could not disagree."""
+    """One endpoint's share of a run report.
+
+    `branches` is always recorded.  `events` (send/recv/enter/exit tuples)
+    and `values` (the value audit) are recorded only by a projected endpoint
+    whose run asked for them with `audit=True`, which sets `audited`; the
+    suites and tests that check values or events ask for it, and plain runs,
+    the CLI and the benchmark do not.  The centralized oracle never records
+    them: it computes one view for all members, which could not disagree.
+    """
 
     name: str
+    audited: bool = False
     events: list[tuple] = field(default_factory=list)
     branches: list[BranchRecord] = field(default_factory=list)
     values: list[ValueRecord] = field(default_factory=list)
@@ -161,7 +170,14 @@ def check_branch_agreement(report: RunReport) -> list[str]:
 def check_value_agreement(report: RunReport) -> list[str]:
     """Every multiply-owned value must have byte-identical canonical encodings
     at all owners, be present exactly at owners, and faceted values must have
-    facets exactly at owners."""
+    facets exactly at owners.  Raises ValueError on a report that did not
+    record the audit, which would otherwise pass without checking anything."""
+    unaudited = [n for n, log in report.endpoints.items() if not log.audited]
+    if unaudited:
+        raise ValueError(
+            f"no value audit recorded at {unaudited}: run the projected "
+            "interpreter with audit=True"
+        )
     problems = []
     groups: dict[tuple, list[tuple[str, ValueRecord]]] = {}
     for name, log in report.endpoints.items():

@@ -17,12 +17,16 @@ def run_simulated(
     seed: int = 0,
     inputs: dict | None = None,
     step_budget: int = 10_000,
+    audit: bool = False,
 ) -> RunReport:
     """Run all endpoints in-process over the seeded simulator.
 
     Per-endpoint failures (protocol errors, StepBudgetExceeded on stall or
     blown budget) are recorded in the report, not raised; call
-    `report.require_success()` to turn them into exceptions.
+    `report.require_success()` to turn them into exceptions.  With `audit`
+    every endpoint also records its value audit and event trail, which
+    `check_value_agreement` needs; without it only branches and messages are
+    kept.
     """
     proc = run_proc(c, census)
     net = SimNet(census.names, seed=seed, step_budget=step_budget)
@@ -30,7 +34,7 @@ def run_simulated(
 
     def make_main(name: str):
         return lambda: run_endpoint(
-            proc, census, name, net.handle(name), args, seed, inputs, logs[name]
+            proc, census, name, net.handle(name), args, seed, inputs, logs[name], audit
         )
 
     errors = net.run({name: make_main(name) for name in census.names})

@@ -9,18 +9,12 @@ from choreo import (
 )
 
 
-def run_both(proc, census, args=None, seed=0, inputs=None, step_budget=10_000):
-    central = run_centralized(proc, census, args, seed=seed, inputs=inputs)
-    simulated = run_simulated(
-        proc, census, args, seed=seed, inputs=inputs, step_budget=step_budget
-    )
-    return central, simulated
-
-
 def run_agreeing(proc, census, args=None, seed=0, inputs=None):
     """Both modes must succeed, agree on every endpoint's result and branch
-    log, and satisfy the value-agreement and FIFO invariants."""
-    central, simulated = run_both(proc, census, args=args, seed=seed, inputs=inputs)
+    log, and satisfy the value-agreement and FIFO invariants.  The simulated
+    run records the value audit and event trail, which callers may read."""
+    central = run_centralized(proc, census, args, seed=seed, inputs=inputs)
+    simulated = run_simulated(proc, census, args, seed=seed, inputs=inputs, audit=True)
     central.require_success()
     simulated.require_success()
     for name in census.names:

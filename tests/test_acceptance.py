@@ -21,7 +21,6 @@ import choreo
 from choreo import census_of, decode, run_simulated
 from choreo.conformance import (
     _equivalence_examples,
-    run_both,
     suite_deadlock,
     suite_gmw,
     suite_lottery,
@@ -224,8 +223,9 @@ def test_multiply_located_agreement():
     checked = 0
     for ex in _equivalence_examples():
         for seed in range(10):
-            central, simulated = run_both(ex, seed)
-            central.require_success()
+            simulated = run_simulated(
+                ex.choreography, ex.census, ex.args, seed=seed, inputs=ex.inputs, audit=True
+            )
             simulated.require_success()
             assert check_value_agreement(simulated) == [], (ex.name, seed)
             checked += sum(

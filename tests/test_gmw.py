@@ -204,12 +204,15 @@ def test_gmw_share_locality():
         circuit=G.parse_circuit("(and (in p1) (and (in p2) (in p3)))"),
         inputs={"p1": [True], "p2": [True], "p3": [True]},
     )
-    report = run_simulated(ex.choreography, ex.census, ex.args, seed=4, inputs=ex.inputs)
+    report = run_simulated(
+        ex.choreography, ex.census, ex.args, seed=4, inputs=ex.inputs, audit=True
+    )
     report.require_success()
-    for name in ex.census.names:
-        for record in report.endpoints[name].values:
-            if record.kind == "faceted":
-                assert record.state == ("facet" if name in record.owners else "nofacet")
+    faceted = [(name, record) for name in ex.census.names
+               for record in report.endpoints[name].values if record.kind == "faceted"]
+    assert faceted
+    for name, record in faceted:
+        assert record.state == ("facet" if name in record.owners else "nofacet")
 
 
 def test_gmw_matches_oracle_on_sampled_depth3_circuits():

@@ -2,7 +2,7 @@
 agreement for each operator of the bundle."""
 
 import pytest
-from conftest import run_agreeing, run_both
+from conftest import run_agreeing
 
 from choreo import (
     Choreography,

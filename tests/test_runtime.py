@@ -7,6 +7,7 @@ from conftest import run_agreeing
 
 from choreo import census_of, project_and_run, run_centralized, run_simulated
 from choreo.errors import CommitmentFailed, StepBudgetExceeded, WitnessMismatchError
+from choreo.examples import build_example, example_names
 from choreo.runtime import (
     BranchRecord,
     EndpointLog,
@@ -39,16 +40,19 @@ def test_singleton_pure_choreography_is_plain_evaluation():
     assert central.result_view("only") == {"located": ["only"], "value": 42}
 
 
+class _Silent:
+    """A transport for an endpoint that takes part in no communication."""
+
+    def send(self, to, body):
+        raise AssertionError("unused")
+
+    def recv(self, frm):
+        raise AssertionError("unused")
+
+
 def test_run_at_location_outside_census_rejected():
-    class NoTransport:
-        def send(self, to, body):
-            raise AssertionError("unused")
-
-        def recv(self, frm):
-            raise AssertionError("unused")
-
     with pytest.raises(WitnessMismatchError):
-        project_and_run(_relay, THREE, "zebra", NoTransport(), args=1)
+        project_and_run(_relay, THREE, "zebra", _Silent(), args=1)
 
 
 def test_projection_erasure_for_uninvolved_endpoint():
@@ -61,9 +65,12 @@ def test_projection_erasure_for_uninvolved_endpoint():
         def recv(self, frm):
             raise AssertionError("uninvolved endpoint tried to receive")
 
-    result, fragment = project_and_run(_relay, THREE, "c", ExplodingTransport(), args=1)
+    result, fragment = project_and_run(
+        _relay, THREE, "c", ExplodingTransport(), args=1, audit=True
+    )
     assert result == {"located": ["b"], "value": "?absent"}
     assert fragment.endpoints["c"].events == []
+    assert [r.state for r in fragment.endpoints["c"].values] == ["absent"] * 3
     assert fragment.messages == []
 
 
@@ -102,8 +109,6 @@ def test_report_serialization_format():
 
 
 def test_centralized_same_seed_identical_reports():
-    from choreo.examples import build_example
-
     ex = build_example("lottery", servers=2, clients=2)
     reports = [
         run_centralized(ex.choreography, ex.census, ex.args, seed=8, inputs=ex.inputs)
@@ -117,7 +122,6 @@ def test_centralized_same_seed_identical_reports():
 def test_report_golden_file():
     # freezes the serialized report for one seeded single-Get run: message
     # sizes, logical timestamps, branch site naming, and outcome encoding
-    from choreo.examples import build_example
     from choreo.protocols.kvs import Get
 
     ex = build_example("kvs-enclave", script=[Get("k")])
@@ -139,18 +143,55 @@ def test_value_agreement_catches_divergence():
     def diverging(b, args):
         return b.replicated(lambda un: id(b) % (1 << 31))
 
-    report = run_simulated(diverging, THREE)
+    report = run_simulated(diverging, THREE, audit=True)
     report.require_success()
     assert check_value_agreement(report) != []
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda: run_simulated(_relay, THREE, args=1), id="simulated"),
+    pytest.param(lambda: project_and_run(_relay, THREE, "c", _Silent(), args=1)[1],
+                 id="projected"),
+    pytest.param(lambda: run_centralized(_relay, THREE, args=1), id="centralized"),
+])
+def test_value_agreement_refuses_an_unaudited_report(run):
+    # without the audit there is nothing to compare: the check must say so
+    # rather than report no problems
+    report = run()
+    assert report.ok
+    assert not any(log.audited for log in report.endpoints.values())
+    with pytest.raises(ValueError, match="audit=True"):
+        check_value_agreement(report)
+
+
+@pytest.mark.parametrize("name", example_names())
+def test_audit_only_observes(name):
+    # recording the audit changes no result, branch log, message or schedule
+    ex = build_example(name)
+    for seed in (0, 1, 2):
+        plain, audited = (
+            run_simulated(ex.choreography, ex.census, ex.args, seed=seed,
+                          inputs=ex.inputs, audit=audit)
+            for audit in (False, True)
+        )
+        assert plain.serialize() == audited.serialize()
+        assert plain.messages == audited.messages
+        for n in ex.census.names:
+            assert plain.result_view(n) == audited.result_view(n)
+            assert repr(plain.endpoints[n].error) == repr(audited.endpoints[n].error)
+            assert plain.endpoints[n].values == plain.endpoints[n].events == []
+        if audited.ok:
+            assert check_value_agreement(audited) == []
+            assert any(log.values and log.events for log in audited.endpoints.values())
 
 
 AB = ("a", "b")
 
 
 def _report(messages=(), branches=None, values=None):
-    """A report over census (a, b) from hand-built records."""
+    """A report over census (a, b) from hand-built records, marked audited."""
     logs = {
-        n: EndpointLog(n, branches=(branches or {}).get(n, []),
+        n: EndpointLog(n, audited=True, branches=(branches or {}).get(n, []),
                        values=(values or {}).get(n, []))
         for n in AB
     }

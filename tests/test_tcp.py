@@ -106,20 +106,20 @@ def test_fifo_per_sender():
         tb.close()
 
 
-def test_protocol_over_tcp_matches_simulator():
-    ex = build_example("kvs-enclave")
+def _run_over_tcp(ex, seed, audit=False):
+    """Every endpoint of `ex` in its own thread over loopback TCP; returns
+    each endpoint's (view, report fragment)."""
     book = {n: f"127.0.0.1:{free_port()}" for n in ex.census.names}
-    results = {}
+    outcomes = {}
     failures = []
 
     def run(name):
         transport = TcpTransport(name, book, recv_timeout=15)
         try:
-            view, _ = project_and_run(
+            outcomes[name] = project_and_run(
                 ex.choreography, ex.census, name, transport,
-                ex.args, seed=21, inputs=ex.inputs,
+                ex.args, seed=seed, inputs=ex.inputs, audit=audit,
             )
-            results[name] = view
         except BaseException as exc:  # surfaced via the main thread's assert
             failures.append((name, exc))
         finally:
@@ -131,11 +131,30 @@ def test_protocol_over_tcp_matches_simulator():
     for t in threads:
         t.join(timeout=30)
     assert not failures, failures
+    return outcomes
 
+
+def test_protocol_over_tcp_matches_simulator():
+    ex = build_example("kvs-enclave")
+    outcomes = _run_over_tcp(ex, seed=21)
     simulated = run_simulated(ex.choreography, ex.census, ex.args, seed=21, inputs=ex.inputs)
     simulated.require_success()
     for name in ex.census.names:
-        assert results[name] == simulated.result_view(name)
+        assert outcomes[name][0] == simulated.result_view(name)
+
+
+def test_audit_only_observes_over_tcp():
+    ex = build_example("kvs-enclave")
+    plain = _run_over_tcp(ex, seed=21)
+    audited = _run_over_tcp(ex, seed=21, audit=True)
+    for name in ex.census.names:
+        (view, report), (audited_view, audited_report) = plain[name], audited[name]
+        assert view == audited_view
+        assert report.serialize() == audited_report.serialize()
+        assert report.messages == audited_report.messages
+        log, audited_log = report.endpoints[name], audited_report.endpoints[name]
+        assert log.values == log.events == []
+        assert audited_log.audited and audited_log.values and audited_log.events
 
 
 def test_close_stops_the_acceptor_and_the_listener():
