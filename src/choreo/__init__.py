@@ -31,7 +31,7 @@ from .runtime import (
     run_centralized,
     run_simulated,
 )
-from .transport import SimNet, TcpTransport, sim_make
+from .transport import SimNet, TcpTransport
 
 __version__ = "0.1.0"
 
@@ -65,6 +65,5 @@ __all__ = [
     "project_and_run",
     "run_centralized",
     "run_simulated",
-    "sim_make",
     "subset",
 ]

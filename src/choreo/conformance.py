@@ -5,10 +5,10 @@ nonzero on any failure; the acceptance tests in tests/test_acceptance.py call
 the same suites and assert that they pass, so each criterion is checked here
 and nowhere else.
 
-The value audit is off by default in projected runs.  The two suites that
-check value agreement, oracle equivalence (through `run_both`) and the
-lottery, run the simulator with `audit=True`; the others, `gmw_check`
-included, read no values or events and leave it off.
+`compare_runs` is the one statement of a projected run's agreement with the
+oracle, for simulated runs and for the merged fragments of a run over TCP.
+The runs it reads, and the lottery suite's, record the value audit
+(`audit=True`); the other suites, `gmw_check` included, leave it off.
 """
 
 import random
@@ -23,6 +23,7 @@ from .protocols import gmw as G
 from .protocols.kvs import Get, Put, reference_responses
 from .protocols.lottery import FIELD_MODULUS, Tamper
 from .runtime import (
+    RunReport,
     check_branch_agreement,
     check_fifo,
     check_value_agreement,
@@ -61,42 +62,41 @@ def _equivalence_examples() -> list[ExampleRun]:
     ]
 
 
-def run_both(ex: ExampleRun, seed: int):
-    central = run_centralized(ex.choreography, ex.census, ex.args, seed=seed, inputs=ex.inputs)
-    simulated = run_simulated(
-        ex.choreography, ex.census, ex.args, seed=seed, inputs=ex.inputs, audit=True
-    )
-    return central, simulated
-
-
-def compare_runs(ex: ExampleRun, central, simulated) -> list[str]:
+def compare_runs(central: RunReport, projected: RunReport) -> list[str]:
+    """Results, branch logs and message count equal the oracle's, and the
+    audited projected run passes the value, FIFO and branch checks."""
     problems = []
-    for name in ex.census.names:
-        if central.result_view(name) != simulated.result_view(name):
-            problems.append(f"{ex.name}@{name}: results differ")
-        if central.branch_outcomes(name) != simulated.branch_outcomes(name):
-            problems.append(f"{ex.name}@{name}: branch logs differ")
-    if len(central.messages) != len(simulated.messages):
-        problems.append(f"{ex.name}: message counts differ")
-    problems += [f"{ex.name}: {p}" for p in check_value_agreement(simulated)]
-    problems += [f"{ex.name}: {p}" for p in check_fifo(simulated)]
-    problems += [f"{ex.name}: {p}" for p in check_branch_agreement(simulated)]
+    for name in central.census_names:
+        if central.result_view(name) != projected.result_view(name):
+            problems.append(f"results differ at {name}")
+        if central.branch_outcomes(name) != projected.branch_outcomes(name):
+            problems.append(f"branch logs differ at {name}")
+    if len(central.messages) != len(projected.messages):
+        problems.append("message counts differ")
+    problems += check_value_agreement(projected)
+    problems += check_fifo(projected)
+    problems += check_branch_agreement(projected)
     return problems
 
 
 def suite_oracle_equivalence() -> SuiteResult:
-    """Per-endpoint results, branch logs and message counts of simulated runs
-    must equal the centralized oracle's, for every example and 20 seeds, and
-    each example's message total must be the same for every seed."""
+    """Simulated runs must agree with the centralized oracle by
+    `compare_runs`, for every example and 20 seeds, and each example's
+    message total must be the same for every seed."""
     problems = []
     runs = 0
     for ex in _equivalence_examples():
         totals = set()
         for seed in range(20):
-            central, simulated = run_both(ex, seed)
+            central = run_centralized(
+                ex.choreography, ex.census, ex.args, seed=seed, inputs=ex.inputs
+            )
+            simulated = run_simulated(
+                ex.choreography, ex.census, ex.args, seed=seed, inputs=ex.inputs, audit=True
+            )
             central.require_success()
             simulated.require_success()
-            problems += compare_runs(ex, central, simulated)
+            problems += [f"{ex.name}: {p}" for p in compare_runs(central, simulated)]
             totals.add(len(simulated.messages))
             runs += 1
         if len(totals) != 1:

@@ -142,7 +142,7 @@ def lottery(
         opened_d = un(opened_draws)
         opened_s = un(opened_salts)
         for name in server_names:
-            if published[name] != commit(opened_d[name], opened_s[name]).hex():
+            if not verify(bytes.fromhex(published[name]), opened_d[name], opened_s[name]):
                 raise CommitmentFailed(f"commitment of {name!r} failed verification")
         return True
 

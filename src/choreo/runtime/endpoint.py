@@ -6,12 +6,13 @@ this endpoint does not own surface as absent, sends happen where this endpoint
 is the sender, receives where it is a recipient, and enclaves it is outside of
 are skipped entirely.
 
-The value audit is opt-in.  With `audit=True` an endpoint also records a
-`ValueRecord` for every value it constructs and a send/recv/enter/exit event
-trail, which `check_value_agreement` and the tests read; the conformance
-suites and tests that check values or events turn it on.  By default only
-the branch log and the message log are kept, which is all that
-`RunReport.serialize()` and the comparison with the oracle read.
+The value audit is opt-in.  With `audit=True` an endpoint also records one
+`ValueRecord` per located or faceted value it constructs, `present` exactly
+where it holds the payload (for a faceted value, its own facet), and a
+send/recv/enter/exit event trail.  `check_value_agreement`, and through it
+`conformance.compare_runs`, read the records, so the runs compared with the
+oracle turn the audit on.  By default only the branch log and the message
+log are kept, which is all that `RunReport.serialize()` reads.
 """
 
 from collections import deque
@@ -77,34 +78,21 @@ class EndpointBundle(OperatorBundle):
 
     # -- recording ----------------------------------------------------------
 
-    def _record_mlv(self, mlv: MultiplyLocated) -> MultiplyLocated:
+    def _record(self, v: MultiplyLocated | Faceted):
+        """Audit `v`, present where this endpoint holds its payload."""
         if not self._state.audit:
-            return mlv
+            return v
         sig = self._census.names
         seq = self._state.value_counters.get(sig, 0)
         self._state.value_counters[sig] = seq + 1
-        if mlv._present:
-            rec = ValueRecord(sig, seq, "mlv", mlv.owners.names, "present",
-                              try_encode(mlv._value))
+        if isinstance(v, Faceted):
+            kind, present, payload = "faceted", self._state.self_name in v._facets, None
         else:
-            rec = ValueRecord(sig, seq, "mlv", mlv.owners.names, "absent", None)
-        self._state.log.values.append(rec)
-        return mlv
-
-    def _record_faceted(self, f: Faceted) -> Faceted:
-        if not self._state.audit:
-            return f
-        sig = self._census.names
-        seq = self._state.value_counters.get(sig, 0)
-        self._state.value_counters[sig] = seq + 1
-        me = self._state.self_name
-        if me in f._facets:
-            rec = ValueRecord(sig, seq, "faceted", f.owners.names, "facet",
-                              try_encode(f._facets[me]))
-        else:
-            rec = ValueRecord(sig, seq, "faceted", f.owners.names, "nofacet", None)
-        self._state.log.values.append(rec)
-        return f
+            kind, present = "mlv", v._present
+            payload = try_encode(v._value) if present else None
+        state = "present" if present else "absent"
+        self._state.log.values.append(ValueRecord(sig, seq, kind, v.owners.names, state, payload))
+        return v
 
     def _record_branch(self, value: Any) -> None:
         sig = self._census.names
@@ -122,7 +110,7 @@ class EndpointBundle(OperatorBundle):
             mlv = _located(owners, True, body(un))
         else:
             mlv = _located(owners, False, None)
-        return self._record_mlv(mlv)
+        return self._record(mlv)
 
     def multicast(self, s: MembershipWitness, r: SubsetWitness, v) -> MultiplyLocated:
         sender = self._check_multicast(s, r, v)
@@ -138,7 +126,7 @@ class EndpointBundle(OperatorBundle):
             mlv = _located(r.sub, True, decode(data))
         else:
             mlv = _located(r.sub, False, None)
-        return self._record_mlv(mlv)
+        return self._record(mlv)
 
     def naked(self, v) -> Any:
         self._check_naked(v)
@@ -157,18 +145,18 @@ class EndpointBundle(OperatorBundle):
             mlv = _located(s.sub, True, ret)
         else:
             mlv = _located(s.sub, False, None)
-        return self._record_mlv(mlv)
+        return self._record(mlv)
 
     def replicated(self, body) -> MultiplyLocated:
         un = Unwrapper(None, None, None, self._census)
         value = body(un)
-        return self._record_mlv(_located(self._census, True, value))
+        return self._record(_located(self._census, True, value))
 
     def fanout(self, qs: SubsetWitness, per) -> Faceted:
         payloads = self._fanout_payloads(qs, per)
         me = self._state.self_name
         own = {me: payloads[me]} if me in payloads else {}
-        return self._record_faceted(Faceted(qs.sub, own))
+        return self._record(Faceted(qs.sub, own))
 
     def fanin(self, qs: SubsetWitness, rs: SubsetWitness, per) -> MultiplyLocated:
         entries = self._fanin_payloads(qs, rs, per)
@@ -176,7 +164,7 @@ class EndpointBundle(OperatorBundle):
             mlv = _located(rs.sub, True, Quire(qs.sub, entries))
         else:
             mlv = _located(rs.sub, False, None)
-        return self._record_mlv(mlv)
+        return self._record(mlv)
 
     def flatten(self, outer: SubsetWitness, inner: SubsetWitness, v) -> MultiplyLocated:
         self._check_flatten(outer, inner, v)
@@ -184,12 +172,12 @@ class EndpointBundle(OperatorBundle):
             mlv = _located(outer.sub, True, self._check_nested(inner, v._value))
         else:
             mlv = _located(outer.sub, False, None)
-        return self._record_mlv(mlv)
+        return self._record(mlv)
 
     def others_forget(self, t: SubsetWitness, v) -> MultiplyLocated:
         self._check_others_forget(t, v)
         present = self._state.self_name in t.sub  # then v._value is present too
-        return self._record_mlv(_located(t.sub, present, v._value))
+        return self._record(_located(t.sub, present, v._value))
 
 
 def run_endpoint(

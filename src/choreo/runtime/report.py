@@ -33,18 +33,19 @@ class ValueRecord:
 
     (sig, seq) identifies the same logical value across endpoints: all members
     of a census context execute the same operator sequence, so their per-sig
-    counters align.  `state` is present/absent for located values and
-    facet/nofacet for faceted values; `payload` is the canonical encoding when
-    the payload is portable and visible here.  Only projected endpoints write
-    these, and only when their run is audited (`audit=True`): the centralized
-    oracle holds one value, whose records always agree.
+    counters align.  `state` is "present" where this endpoint holds the
+    payload (for a faceted value, its own facet) and "absent" elsewhere;
+    `payload` is the canonical encoding of a present located value when it
+    is portable, else None.  Only projected endpoints write these, and only
+    when their run is audited (`audit=True`): the centralized oracle holds
+    one value, whose records always agree.
     """
 
     sig: tuple[str, ...]
     seq: int
     kind: str  # "mlv" | "faceted"
     owners: tuple[str, ...]
-    state: str  # "present" | "absent" | "facet" | "nofacet"
+    state: str  # "present" | "absent"
     payload: bytes | None
 
 
@@ -82,13 +83,17 @@ class RunReport:
     def errors(self) -> dict[str, BaseException]:
         return {n: log.error for n, log in self.endpoints.items() if log.error is not None}
 
+    def _logs(self) -> list[EndpointLog]:
+        """The endpoint logs this report holds, in census order; a fragment
+        from `project_and_run` holds one."""
+        return [self.endpoints[n] for n in self.census_names if n in self.endpoints]
+
     def require_success(self) -> "RunReport":
-        for name in self.census_names:
-            err = self.endpoints[name].error
-            if err is not None:
-                if isinstance(err, ChoreoError):
-                    raise err
-                raise ChoreoError(f"endpoint {name!r} failed: {err!r}") from err
+        for log in self._logs():
+            if isinstance(log.error, ChoreoError):
+                raise log.error
+            if log.error is not None:
+                raise ChoreoError(f"endpoint {log.name!r} failed: {log.error!r}") from log.error
         return self
 
     def result_view(self, name: str) -> Any:
@@ -101,12 +106,9 @@ class RunReport:
         lines = []
         for m in sorted(self.messages, key=lambda m: (m.t_send, m.sender, m.receiver)):
             lines.append(f"MSG {m.sender} {m.receiver} {m.nbytes} {m.t_send}")
-        for name in self.census_names:
-            log = self.endpoints.get(name)
-            if log is None:
-                continue
+        for log in self._logs():
             for b in log.branches:
-                lines.append(f"BRANCH {name} {_site(b.sig, b.index)} {b.outcome.hex()}")
+                lines.append(f"BRANCH {log.name} {_site(b.sig, b.index)} {b.outcome.hex()}")
         return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -168,9 +170,9 @@ def check_branch_agreement(report: RunReport) -> list[str]:
 
 
 def check_value_agreement(report: RunReport) -> list[str]:
-    """Every multiply-owned value must have byte-identical canonical encodings
-    at all owners, be present exactly at owners, and faceted values must have
-    facets exactly at owners.  Raises ValueError on a report that did not
+    """Every located or faceted value must be present exactly at its owners,
+    and a multiply-owned located value must have byte-identical canonical
+    encodings at all of them.  Raises ValueError on a report that did not
     record the audit, which would otherwise pass without checking anything."""
     unaudited = [n for n, log in report.endpoints.items() if not log.audited]
     if unaudited:
@@ -183,29 +185,20 @@ def check_value_agreement(report: RunReport) -> list[str]:
     for name, log in report.endpoints.items():
         for rec in log.values:
             groups.setdefault((rec.sig, rec.seq, rec.kind), []).append((name, rec))
-    for key, entries in sorted(groups.items()):
-        sig, seq, kind = key
+    for (sig, seq, kind), entries in sorted(groups.items()):
         owners = entries[0][1].owners
         where = f"{kind} #{seq} under {sig}"
         if any(rec.owners != owners for _, rec in entries):
             problems.append(f"{where}: endpoints disagree on the owner set")
             continue
+        for name, rec in entries:
+            expect = "present" if name in owners else "absent"
+            if rec.state != expect:
+                problems.append(f"{where}: {rec.state} at {name}, expected {expect}")
         if kind == "mlv":
-            payloads = []
-            for name, rec in entries:
-                expect = "present" if name in owners else "absent"
-                if rec.state != expect:
-                    problems.append(f"{where}: {rec.state} at {name}, expected {expect}")
-                if rec.state == "present":
-                    payloads.append((name, rec.payload))
-            encodings = {p for _, p in payloads if p is not None}
-            if len(encodings) > 1:
+            payloads = [rec.payload for _, rec in entries if rec.state == "present"]
+            if len(set(payloads) - {None}) > 1:
                 problems.append(f"{where}: owners hold different encodings")
-            if any(p is None for _, p in payloads) and any(p is not None for _, p in payloads):
+            if None in payloads and len(set(payloads)) > 1:
                 problems.append(f"{where}: owners disagree on encodability")
-        else:
-            for name, rec in entries:
-                expect = "facet" if name in owners else "nofacet"
-                if rec.state != expect:
-                    problems.append(f"{where}: {rec.state} at {name}, expected {expect}")
     return problems

@@ -36,14 +36,13 @@ class Transport(Protocol):
     def recv(self, frm: str) -> bytes: ...
 
 
-from .sim import SimNet, sim_make  # noqa: E402
+from .sim import SimNet  # noqa: E402
 from .tcp import TcpTransport, free_port  # noqa: E402
 
 __all__ = [
     "MessageRecord",
     "Transport",
     "SimNet",
-    "sim_make",
     "TcpTransport",
     "free_port",
 ]

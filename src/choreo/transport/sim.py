@@ -81,13 +81,11 @@ class _SimHandle:
 class SimNet:
     def __init__(self, names, seed: int = 0, step_budget: int = 10_000):
         self.names = tuple(names)
-        self._pairs = tuple(
-            (s, r) for s in self.names for r in self.names if s != r
-        )
-        self._pending = {p: deque() for p in self._pairs}
+        pairs = [(s, r) for s in self.names for r in self.names if s != r]
+        self._pending = {p: deque() for p in pairs}
         self._deliverable: set[tuple[str, str]] = set()  # pairs with pending mail
-        self._arrived = {p: deque() for p in self._pairs}
-        self._seqs = {p: 0 for p in self._pairs}
+        self._arrived = {p: deque() for p in pairs}
+        self._seqs = {p: 0 for p in pairs}
         self._rng = random.Random(derived_seed(seed, "scheduler"))
         self._baton = _baton()  # released by a task to hand control back
         self._clock = 0
@@ -95,10 +93,6 @@ class SimNet:
         self._budget = step_budget
         self._steps = {n: 0 for n in self.names}
         self.messages: list[MessageRecord] = []
-
-    @property
-    def pairs(self) -> list[tuple[str, str]]:
-        return list(self._pairs)
 
     def handle(self, name: str) -> _SimHandle:
         if name not in self.names:
@@ -235,9 +229,3 @@ class SimNet:
                 task.error = exc
         task.state = "done"
         self._baton.release()
-
-
-def sim_make(census_names, seed: int = 0, step_budget: int = 10_000):
-    """Build a simulator and the per-endpoint transport handles."""
-    net = SimNet(census_names, seed=seed, step_budget=step_budget)
-    return net, {name: net.handle(name) for name in net.names}

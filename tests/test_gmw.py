@@ -212,7 +212,7 @@ def test_gmw_share_locality():
                for record in report.endpoints[name].values if record.kind == "faceted"]
     assert faceted
     for name, record in faceted:
-        assert record.state == ("facet" if name in record.owners else "nofacet")
+        assert record.state == ("present" if name in record.owners else "absent")
 
 
 def test_gmw_matches_oracle_on_sampled_depth3_circuits():

@@ -2,11 +2,14 @@
 per-endpoint randomness, report serialization, and the invariant checks
 catching real divergence."""
 
+from functools import partial
+
 import pytest
 from conftest import run_agreeing
 
 from choreo import census_of, project_and_run, run_centralized, run_simulated
 from choreo.errors import CommitmentFailed, StepBudgetExceeded, WitnessMismatchError
+from choreo.conformance import compare_runs
 from choreo.examples import build_example, example_names
 from choreo.runtime import (
     BranchRecord,
@@ -53,6 +56,14 @@ class _Silent:
 def test_run_at_location_outside_census_rejected():
     with pytest.raises(WitnessMismatchError):
         project_and_run(_relay, THREE, "zebra", _Silent(), args=1)
+
+
+def test_require_success_walks_the_endpoints_a_fragment_holds():
+    _, fragment = project_and_run(_relay, THREE, "c", _Silent(), args=1)
+    assert fragment.require_success() is fragment
+    fragment.endpoints["c"].error = CommitmentFailed("c failed")
+    with pytest.raises(CommitmentFailed, match="c failed"):
+        fragment.require_success()
 
 
 def test_projection_erasure_for_uninvolved_endpoint():
@@ -188,11 +199,11 @@ def test_audit_only_observes(name):
 AB = ("a", "b")
 
 
-def _report(messages=(), branches=None, values=None):
+def _report(messages=(), branches=None, values=None, results=None):
     """A report over census (a, b) from hand-built records, marked audited."""
     logs = {
         n: EndpointLog(n, audited=True, branches=(branches or {}).get(n, []),
-                       values=(values or {}).get(n, []))
+                       values=(values or {}).get(n, []), result=(results or {}).get(n))
         for n in AB
     }
     return RunReport(AB, logs, list(messages))
@@ -252,10 +263,25 @@ def _mlv(owners, state, payload):
         id="value-encodability-differs"),
     pytest.param(
         check_value_agreement,
-        _report(values={n: [ValueRecord(AB, 0, "faceted", ("a",), "facet", b"x")]
+        _report(values={n: [ValueRecord(AB, 0, "faceted", ("a",), "present", None)]
                         for n in AB}),
-        "faceted #0 under ('a', 'b'): facet at b, expected nofacet",
+        "faceted #0 under ('a', 'b'): present at b, expected absent",
         id="value-facet-at-non-owner"),
+    pytest.param(
+        partial(compare_runs, _report(results={"b": 1})),
+        _report(results={"b": 2}),
+        "results differ at b",
+        id="oracle-results-differ"),
+    pytest.param(
+        partial(compare_runs, _report(branches={"a": [BranchRecord(("a",), 0, b"\x01")]})),
+        _report(),
+        "branch logs differ at a",
+        id="oracle-branch-logs-differ"),
+    pytest.param(
+        partial(compare_runs, _report()),
+        _report(messages=[MessageRecord("a", "b", 1, 0, t_send=0)]),
+        "message counts differ",
+        id="oracle-message-counts-differ"),
 ])
 def test_invariant_checks_report_each_problem(check, report, problem):
     assert check(report) == [problem]

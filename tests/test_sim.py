@@ -8,13 +8,7 @@ import pytest
 
 from choreo import census_of, run_simulated
 from choreo.errors import StepBudgetExceeded, TransportError
-from choreo.transport import SimNet, sim_make
-
-
-def test_pairs_available():
-    net, handles = sim_make(["a", "b", "c"], seed=0)
-    assert len(net.pairs) == 6
-    assert set(handles) == {"a", "b", "c"}
+from choreo.transport import SimNet
 
 
 def _ping_pong_mains(net, rounds=3):
@@ -113,12 +107,13 @@ def test_step_budget_trips():
 
 
 def test_unknown_routes_rejected():
-    net, handles = sim_make(["a", "b"], seed=0)
+    net = SimNet(["a", "b"], seed=0)
     with pytest.raises(TransportError):
         net.handle("nobody")
+    a = net.handle("a")
 
     def main_a():
-        handles["a"].send("zzz", b"x")
+        a.send("zzz", b"x")
 
     def main_b():
         pass

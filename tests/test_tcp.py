@@ -8,7 +8,8 @@ import time
 
 import pytest
 
-from choreo import census_of, project_and_run, run_simulated
+from choreo import RunReport, project_and_run, run_centralized
+from choreo.conformance import compare_runs
 from choreo.errors import DecodeError, TransportError
 from choreo.examples import build_example
 from choreo.portable import encode
@@ -108,18 +109,18 @@ def test_fifo_per_sender():
 
 def _run_over_tcp(ex, seed, audit=False):
     """Every endpoint of `ex` in its own thread over loopback TCP; returns
-    each endpoint's (view, report fragment)."""
+    one report merged from the endpoints' fragments."""
     book = {n: f"127.0.0.1:{free_port()}" for n in ex.census.names}
-    outcomes = {}
+    fragments = {}
     failures = []
 
     def run(name):
         transport = TcpTransport(name, book, recv_timeout=15)
         try:
-            outcomes[name] = project_and_run(
+            fragments[name] = project_and_run(
                 ex.choreography, ex.census, name, transport,
                 ex.args, seed=seed, inputs=ex.inputs, audit=audit,
-            )
+            )[1]
         except BaseException as exc:  # surfaced via the main thread's assert
             failures.append((name, exc))
         finally:
@@ -131,28 +132,34 @@ def _run_over_tcp(ex, seed, audit=False):
     for t in threads:
         t.join(timeout=30)
     assert not failures, failures
-    return outcomes
+    names = ex.census.names
+    return RunReport(names, {n: fragments[n].endpoints[n] for n in names},
+                     [m for n in names for m in fragments[n].messages])
 
 
-def test_protocol_over_tcp_matches_simulator():
-    ex = build_example("kvs-enclave")
-    outcomes = _run_over_tcp(ex, seed=21)
-    simulated = run_simulated(ex.choreography, ex.census, ex.args, seed=21, inputs=ex.inputs)
-    simulated.require_success()
-    for name in ex.census.names:
-        assert outcomes[name][0] == simulated.result_view(name)
+@pytest.mark.parametrize("name, options", [
+    ("kvs-enclave", {}),
+    ("kvs-poly", {}),
+    ("gmw", {"parties": 3}),
+    ("lottery", {}),
+], ids=["kvs-enclave", "kvs-poly", "gmw", "lottery"])
+def test_protocol_over_tcp_agrees_with_oracle(name, options):
+    ex = build_example(name, **options)
+    over_tcp = _run_over_tcp(ex, seed=21, audit=True)
+    central = run_centralized(ex.choreography, ex.census, ex.args, seed=21, inputs=ex.inputs)
+    central.require_success()
+    assert compare_runs(central, over_tcp) == []
 
 
 def test_audit_only_observes_over_tcp():
     ex = build_example("kvs-enclave")
     plain = _run_over_tcp(ex, seed=21)
     audited = _run_over_tcp(ex, seed=21, audit=True)
+    assert plain.serialize() == audited.serialize()
+    assert plain.messages == audited.messages
     for name in ex.census.names:
-        (view, report), (audited_view, audited_report) = plain[name], audited[name]
-        assert view == audited_view
-        assert report.serialize() == audited_report.serialize()
-        assert report.messages == audited_report.messages
-        log, audited_log = report.endpoints[name], audited_report.endpoints[name]
+        log, audited_log = plain.endpoints[name], audited.endpoints[name]
+        assert log.result == audited_log.result
         assert log.values == log.events == []
         assert audited_log.audited and audited_log.values and audited_log.events
 
