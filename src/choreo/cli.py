@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import conformance
 from .errors import ChoreoError, ConfigError
-from .examples import build_example, example_names
+from .examples import ExampleRun, build_example, example_names
 from .protocols.gmw import parse_circuit
 from .protocols.kvs import parse_script
 from .protocols.lottery import Tamper
@@ -23,9 +23,14 @@ from .runtime.views import view_json
 from .transport import TcpTransport
 
 
-def _parse_inputs(example: str, text: str | None) -> dict | None:
-    if text is None:
-        return None
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path!r}: {exc}") from exc
+
+
+def _parse_inputs(example: str, text: str) -> dict:
     streams: dict[str, list] = {}
     for part in text.split(","):
         part = part.strip()
@@ -34,72 +39,55 @@ def _parse_inputs(example: str, text: str | None) -> dict | None:
         name, sep, value = part.partition("=")
         if not sep or not name or not value:
             raise ConfigError(f"bad --inputs entry {part!r}, expected name=value")
-        if example == "gmw":
-            if any(c not in "01" for c in value):
-                raise ConfigError(f"gmw inputs are bit strings, got {value!r}")
-            streams.setdefault(name, []).extend(c == "1" for c in value)
-        elif example == "lottery":
-            try:
-                streams.setdefault(name, []).append(int(value))
-            except ValueError:
-                raise ConfigError(f"lottery inputs are integers, got {value!r}") from None
+        if example != "gmw":
+            streams.setdefault(name, []).append(int(value))
+        elif any(c not in "01" for c in value):
+            raise ConfigError(f"gmw inputs are bit strings, got {value!r}")
         else:
-            raise ConfigError(f"--inputs is not used by example {example!r}")
+            streams.setdefault(name, []).extend(c == "1" for c in value)
     return streams
 
 
-def _parse_tamper(text: str | None) -> Tamper | None:
-    if text is None:
-        return None
+def _parse_tamper(text: str) -> Tamper:
     server, sep, which = text.partition(":")
     if not sep or which not in ("draw", "salt"):
         raise ConfigError("--tamper takes SERVER:draw or SERVER:salt")
     return Tamper(server, which)
 
 
-def _parse_ordinals(text: str | None) -> list[int]:
-    if not text:
-        return []
-    try:
-        return [int(p) for p in text.split(",") if p.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"bad ordinal list {text!r}") from None
-
-
-def _load_example(ns) -> "object":
+def _load_example(ns) -> ExampleRun:
+    """Build `ns.example` from exactly the example flags given, each parsed
+    from its text and passed on under its own name; the builder rejects a
+    flag its example does not take."""
+    parsers = {
+        "script": lambda text: parse_script(_read(text)),
+        "circuit": lambda text: parse_circuit(_read(text) if Path(text).exists() else text),
+        "inputs": lambda text: _parse_inputs(ns.example, text),
+        "backups": int,
+        "servers": int,
+        "clients": int,
+        "parties": int,
+        "tamper": _parse_tamper,
+        "fail_puts": lambda text: [int(p) for p in text.split(",") if p.strip()],
+        "fail_backups": lambda text: [p for p in text.split(",") if p],
+    }
     options = {}
-    if ns.script:
-        options["script"] = parse_script(Path(ns.script).read_text())
-    if ns.circuit:
-        path = Path(ns.circuit)
-        text = path.read_text() if path.exists() else ns.circuit
-        options["circuit"] = parse_circuit(text)
-    inputs = _parse_inputs(ns.example, ns.inputs)
-    if inputs is not None:
-        options["inputs"] = inputs
-    if ns.backups is not None:
-        options["backups"] = ns.backups
-    if ns.servers is not None:
-        options["servers"] = ns.servers
-    if ns.clients is not None:
-        options["clients"] = ns.clients
-    if ns.parties is not None:
-        options["parties"] = ns.parties
-    if getattr(ns, "tamper", None):
-        options["tamper"] = _parse_tamper(ns.tamper)
-    if getattr(ns, "fail_puts", None):
-        options["fail_puts"] = _parse_ordinals(ns.fail_puts)
-    if getattr(ns, "fail_backups", None):
-        options["fail_backups"] = [p for p in ns.fail_backups.split(",") if p]
+    for flag, parse in parsers.items():
+        text = getattr(ns, flag)
+        if text is not None:
+            try:
+                options[flag] = parse(text)
+            except ValueError:
+                raise ConfigError(f"bad --{flag.replace('_', '-')} value {text!r}") from None
     return build_example(ns.example, **options)
 
 
 def _load_address_book(path: str, census_names) -> dict[str, str]:
     try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read address book {path!r}: {exc}") from exc
-    book = data.get("locations")
+        data = json.loads(_read(path))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"address book {path!r} is not JSON: {exc}") from exc
+    book = data.get("locations") if isinstance(data, dict) else None
     if not isinstance(book, dict):
         raise ConfigError('address book must look like {"locations": {name: "host:port"}}')
     missing = [n for n in census_names if n not in book]
@@ -163,10 +151,9 @@ def _cmd_count_messages(ns) -> int:
     first, _, second = ns.pair.partition(",")
     if not second:
         raise ConfigError("--pair takes two example names, e.g. kvs-broadcast,kvs-enclave")
-    script = parse_script(Path(ns.script).read_text()) if ns.script else None
+    options = {"script": parse_script(_read(ns.script))} if ns.script else {}
     counts = {}
     for name in (first, second):
-        options = {"script": list(script)} if script else {}
         ex = build_example(name, **options)
         report = run_simulated(
             ex.choreography, ex.census, ex.args, seed=ns.seed, inputs=ex.inputs
@@ -206,10 +193,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--script", help="request script file for the kvs examples")
     run.add_argument("--circuit", help="circuit file or literal s-expression for gmw")
     run.add_argument("--inputs", help="per-location inputs, e.g. p1=10,p2=1")
-    run.add_argument("--backups", type=int, help="backup count for kvs-poly")
-    run.add_argument("--servers", type=int, help="server count for the lottery")
-    run.add_argument("--clients", type=int, help="client count for the lottery")
-    run.add_argument("--parties", type=int, help="party count for gmw")
+    run.add_argument("--backups", help="backup count for kvs-poly")
+    run.add_argument("--servers", help="server count for the lottery")
+    run.add_argument("--clients", help="client count for the lottery")
+    run.add_argument("--parties", help="party count for gmw")
     run.add_argument("--step-budget", type=int, default=10_000, dest="step_budget")
     run.add_argument("--report", help="write the run report to this file")
     run.add_argument("--recv-timeout", type=float, default=30.0, dest="recv_timeout")

@@ -1,9 +1,12 @@
 """Named, runnable protocol instances for the CLI and the conformance suites.
 
-Each builder turns harness options into a concrete (choreography, census,
-args, inputs) bundle ready for any of the three run modes.
+Each builder takes its example's options as keyword parameters with their
+defaults, and returns a concrete (choreography, census, args, inputs) bundle
+ready for any of the three run modes.  Its signature is the one statement of
+which options an example takes: `build_example` rejects any other.
 """
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -33,59 +36,35 @@ DEFAULT_CIRCUIT = gmw_mod.XorGate(
 )
 
 
-def _kvs_example(name: str, proc, census_names, options) -> ExampleRun:
-    script = options.get("script") or list(DEFAULT_SCRIPT)
+_TRIO = ("client", "primary", "backup")
+
+
+def _kvs(name: str, proc, script=None, names=_TRIO, **faults) -> ExampleRun:
+    script = script or list(DEFAULT_SCRIPT)
     args = KvsArgs(
-        n_requests=len(script),
-        fail_puts=frozenset(options.get("fail_puts", ())),
-        fail_backups=frozenset(options.get("fail_backups", ())),
+        n_requests=len(script), **{k: frozenset(v) for k, v in faults.items()}
     )
     return ExampleRun(
         name=name,
         choreography=Choreography(proc, name=name),
-        census=census_of(census_names),
+        census=census_of(names),
         args=args,
         inputs={"client": list(script)},
     )
 
 
-def _build_kvs_broadcast(options) -> ExampleRun:
-    return _kvs_example(
-        "kvs-broadcast", kvs_mod.kvs_broadcast, ["client", "primary", "backup"], options
-    )
-
-
-def _build_kvs_enclave(options) -> ExampleRun:
-    return _kvs_example(
-        "kvs-enclave", kvs_mod.kvs_enclave, ["client", "primary", "backup"], options
-    )
-
-
-def _build_kvs_error_handling(options) -> ExampleRun:
-    return _kvs_example(
-        "kvs-error-handling",
-        kvs_mod.kvs_error_handling,
-        ["client", "primary", "backup"],
-        options,
-    )
-
-
-def _build_kvs_poly(options) -> ExampleRun:
-    backups = options.get("backups", 2)
+def _build_kvs_poly(script=None, backups=2, fail_backups=()) -> ExampleRun:
     if backups < 0:
         raise ConfigError("--backups must be >= 0")
     names = ["client", "primary"] + [f"backup{i}" for i in range(1, backups + 1)]
-    return _kvs_example("kvs-poly", kvs_mod.kvs_poly, names, options)
+    return _kvs("kvs-poly", kvs_mod.kvs_poly, script, names, fail_backups=fail_backups)
 
 
 def _gmw_proc(b: OperatorBundle, circuit) -> bool:
     return gmw_mod.mpc(b, circuit)
 
 
-def _build_gmw(options) -> ExampleRun:
-    circuit = options.get("circuit") or DEFAULT_CIRCUIT
-    parties = options.get("parties")
-    inputs = options.get("inputs")
+def _build_gmw(circuit=DEFAULT_CIRCUIT, parties=None, inputs=None) -> ExampleRun:
     owners = gmw_mod.circuit_input_owners(circuit)
     if parties:
         names = [f"p{i}" for i in range(1, parties + 1)]
@@ -134,28 +113,25 @@ def _lottery_proc(b: OperatorBundle, args: LotteryArgs):
     )
 
 
-def _build_lottery(options) -> ExampleRun:
-    n_servers = options.get("servers", 3)
-    n_clients = options.get("clients", 4)
-    if n_servers < 1 or n_clients < 1:
+def _build_lottery(
+    servers=3, clients=4, inputs=None, draw_range=None, tamper=None
+) -> ExampleRun:
+    if servers < 1 or clients < 1:
         raise ConfigError("the lottery needs at least one server and one client")
-    servers = tuple(f"server{i}" for i in range(1, n_servers + 1))
-    clients = tuple(f"client{i}" for i in range(1, n_clients + 1))
-    secrets = options.get("inputs") or {}
-    inputs = {}
-    for i, name in enumerate(clients):
-        given = secrets.get(name)
-        inputs[name] = list(given) if given else [(1000 + 13 * i) % FIELD_MODULUS]
+    server_names = tuple(f"server{i}" for i in range(1, servers + 1))
+    client_names = tuple(f"client{i}" for i in range(1, clients + 1))
+    secrets = inputs or {}
+    inputs = {
+        name: list(secrets.get(name) or [(1000 + 13 * i) % FIELD_MODULUS])
+        for i, name in enumerate(client_names)
+    }
     args = LotteryArgs(
-        servers=servers,
-        clients=clients,
-        draw_range=options.get("draw_range"),
-        tamper=options.get("tamper"),
+        servers=server_names, clients=client_names, draw_range=draw_range, tamper=tamper
     )
     return ExampleRun(
         name="lottery",
         choreography=Choreography(_lottery_proc, name="lottery"),
-        census=census_of(["analyst", *servers, *clients]),
+        census=census_of(["analyst", *server_names, *client_names]),
         args=args,
         inputs=inputs,
     )
@@ -174,7 +150,7 @@ def _broken_proc(b: OperatorBundle, args) -> None:
     return None
 
 
-def _build_broken(options) -> ExampleRun:
+def _build_broken() -> ExampleRun:
     return ExampleRun(
         name="broken-pair",
         choreography=Choreography(_broken_proc, name="broken-pair"),
@@ -184,9 +160,13 @@ def _build_broken(options) -> ExampleRun:
 
 
 BUILDERS = {
-    "kvs-broadcast": _build_kvs_broadcast,
-    "kvs-enclave": _build_kvs_enclave,
-    "kvs-error-handling": _build_kvs_error_handling,
+    "kvs-broadcast": lambda script=None: _kvs(
+        "kvs-broadcast", kvs_mod.kvs_broadcast, script
+    ),
+    "kvs-enclave": lambda script=None: _kvs("kvs-enclave", kvs_mod.kvs_enclave, script),
+    "kvs-error-handling": lambda script=None, fail_puts=(): _kvs(
+        "kvs-error-handling", kvs_mod.kvs_error_handling, script, fail_puts=fail_puts
+    ),
     "kvs-poly": _build_kvs_poly,
     "gmw": _build_gmw,
     "lottery": _build_lottery,
@@ -205,4 +185,11 @@ def build_example(name: str, **options) -> ExampleRun:
         raise ConfigError(
             f"unknown example {name!r}; choose from {', '.join(example_names())}"
         ) from None
-    return builder(options)
+    takes = inspect.signature(builder).parameters
+    for option in options:
+        if option not in takes:
+            raise ConfigError(
+                f"example {name!r} takes no option {option!r}; "
+                f"it takes: {', '.join(takes) or 'none'}"
+            )
+    return builder(**options)

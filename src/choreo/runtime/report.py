@@ -133,7 +133,12 @@ def count_messages(messages, senders=None, receivers=None, t_range=None) -> int:
 
 def check_fifo(report: RunReport) -> list[str]:
     """Per ordered pair, delivered seq values must be 0,1,2,... with no gaps,
-    and consumption order must follow send order."""
+    and consumption order must follow send order.
+
+    The consumption-order half reads `t_recv`, which only the oracle and the
+    simulator stamp.  Over TCP it checks seq numbering alone: there the
+    transport enforces per-pair order on arrival, failing the receive on a
+    gap or duplicate seq."""
     problems = []
     by_pair: dict[tuple[str, str], list[MessageRecord]] = {}
     for m in report.messages:

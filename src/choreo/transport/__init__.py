@@ -15,9 +15,10 @@ from typing import Protocol, runtime_checkable
 class MessageRecord:
     """One message as seen by the instrumentation.
 
-    `t_send` is the logical timestamp serialized in reports; simulated runs
-    additionally stamp delivery and consumption times, which the ordering
-    checks use.
+    `t_send` is the logical timestamp serialized in reports.  The oracle and
+    the simulator also stamp delivery and consumption times, which the
+    consumption-order half of `check_fifo` uses; TCP runs leave them None,
+    because the TCP transport enforces per-pair order itself on arrival.
     """
 
     sender: str

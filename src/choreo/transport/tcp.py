@@ -123,6 +123,7 @@ class TcpTransport:
         self._out: dict[str, socket.socket] = {}
         self._seqs: dict[str, int] = {}
         self._expected: dict[str, int] = {}
+        self._readers: list[tuple[socket.socket, threading.Thread]] = []
 
         host, port = self._addresses[self_name]
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -139,7 +140,9 @@ class TcpTransport:
                 conn, _ = self._listener.accept()
             except OSError:
                 return
-            threading.Thread(target=self._read_loop, args=(conn,), daemon=True).start()
+            reader = threading.Thread(target=self._read_loop, args=(conn,), daemon=True)
+            self._readers.append((conn, reader))
+            reader.start()
 
     def _read_loop(self, conn: socket.socket) -> None:
         sender = None
@@ -208,11 +211,13 @@ class TcpTransport:
         return item
 
     def close(self) -> None:
-        """Close every socket and join the acceptor.
+        """Close every socket and join every thread this transport started.
 
-        Closing a listener does not wake a thread blocked in `accept()`;
-        shutting it down first does.  Raises TransportError if the acceptor
-        is still alive afterwards.
+        Closing a socket does not wake a thread blocked in `accept()` or
+        `recv()` on it; shutting it down first does.  So the listener and
+        each accepted connection are shut down, which ends the acceptor and
+        every reader even while their peers stay open.  Raises TransportError
+        if one of those threads is still alive afterwards.
         """
         try:
             self._listener.shutdown(socket.SHUT_RDWR)
@@ -230,3 +235,11 @@ class TcpTransport:
         self._acceptor.join(timeout=_JOIN_TIMEOUT_S)
         if self._acceptor.is_alive():
             raise TransportError("acceptor thread still alive after close")
+        for conn, reader in self._readers:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the reader already closed it
+            reader.join(timeout=_JOIN_TIMEOUT_S)
+            if reader.is_alive():
+                raise TransportError("reader thread still alive after close")

@@ -1,10 +1,13 @@
-"""Command-line harness: determinism, exit discipline, report files."""
+"""Command-line harness: determinism, exit discipline, report files, and the
+example options it passes on."""
 
 import json
 
 import pytest
 
 from choreo.cli import main
+from choreo.errors import ConfigError
+from choreo.examples import build_example, example_names
 
 PUT_GET = "PUT k 5\nGET k\n"
 
@@ -107,6 +110,38 @@ def test_config_errors_exit_two(tmp_path, capsys):
         capsys,
     )
     assert status == 2 and "missing locations" in err
+
+
+def test_address_book_must_be_an_object(tmp_path, capsys):
+    book = tmp_path / "net.json"
+    book.write_text("[1, 2]")
+    status, _, err = run_cli(
+        ["run", "--example", "kvs-enclave", "--mode", "endpoint",
+         "--role", "client", "--config", str(book)],
+        capsys,
+    )
+    assert status == 2 and "address book must look like" in err
+
+
+@pytest.mark.parametrize("name", example_names())
+def test_examples_reject_options_they_do_not_take(name):
+    with pytest.raises(ConfigError, match="no_such_option"):
+        build_example(name, no_such_option=1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--example", "kvs-poly", "--fail-puts", "0"],
+    ["run", "--example", "gmw", "--backups", "3"],
+    ["run", "--example", "kvs-enclave", "--inputs", "client=1"],
+    ["run", "--example", "kvs-enclave", "--script", "MISSING"],
+    ["count-messages", "--script", "MISSING"],
+], ids=["unused-fail-puts", "unused-backups", "unused-inputs",
+        "missing-script-run", "missing-script-count"])
+def test_unused_flags_and_unreadable_files_are_config_errors(argv, tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    status, out, err = run_cli([missing if a == "MISSING" else a for a in argv], capsys)
+    assert status == 2 and "CONFIG ERROR" in err
+    assert out == ""  # nothing ran
 
 
 def test_conformance_single_suite(capsys):

@@ -187,6 +187,37 @@ def test_close_stops_the_acceptor_and_the_listener():
         tb.close()
 
 
+def test_close_stops_every_thread_while_the_peer_stays_open():
+    book = {"a": f"127.0.0.1:{free_port()}", "b": f"127.0.0.1:{free_port()}"}
+    tb = TcpTransport("b", book, recv_timeout=5)
+    before = set(threading.enumerate())
+    ta = TcpTransport("a", book, recv_timeout=5)
+    try:
+        tb.send("a", b"x")  # a accepts b's connection and starts its reader
+        assert ta.recv("b") == b"x"
+        ta.close()
+        assert [t for t in threading.enumerate() if t not in before] == []
+    finally:
+        ta.close()
+        tb.close()
+
+
+def test_out_of_order_seq_fails_the_receive_fast():
+    book = {"a": f"127.0.0.1:{free_port()}", "b": f"127.0.0.1:{free_port()}"}
+    tb = TcpTransport("b", book, recv_timeout=5)
+    try:
+        with socket.create_connection(("127.0.0.1", tb.port)) as raw:
+            write_frame(raw, pack_envelope("a", 0, b"first"))
+            write_frame(raw, pack_envelope("a", 2, b"gap"))
+            assert tb.recv("a") == b"first"
+            started = time.monotonic()
+            with pytest.raises(TransportError, match="out-of-order"):
+                tb.recv("a")
+            assert time.monotonic() - started < 0.25
+    finally:
+        tb.close()
+
+
 def test_recv_from_a_closed_peer_fails_fast():
     book = {"a": f"127.0.0.1:{free_port()}", "b": f"127.0.0.1:{free_port()}"}
     ta = TcpTransport("a", book, recv_timeout=5)
