@@ -26,7 +26,6 @@ from .runtime import (
     check_branch_agreement,
     check_fifo,
     check_value_agreement,
-    count_messages,
     project_and_run,
     run_centralized,
     run_simulated,
@@ -57,7 +56,6 @@ __all__ = [
     "check_fifo",
     "check_value_agreement",
     "compose",
-    "count_messages",
     "decode",
     "encode",
     "errors",

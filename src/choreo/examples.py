@@ -39,6 +39,13 @@ DEFAULT_CIRCUIT = gmw_mod.XorGate(
 _TRIO = ("client", "primary", "backup")
 
 
+def _require_known(flag: str, given, names) -> None:
+    """Rejects location names given under `flag` that are not among `names`."""
+    unknown = [n for n in given if n not in names]
+    if unknown:
+        raise ConfigError(f"{flag} names unknown locations {unknown}; known: {list(names)}")
+
+
 def _kvs(name: str, proc, script=None, names=_TRIO, **faults) -> ExampleRun:
     script = script or list(DEFAULT_SCRIPT)
     args = KvsArgs(
@@ -46,7 +53,7 @@ def _kvs(name: str, proc, script=None, names=_TRIO, **faults) -> ExampleRun:
     )
     return ExampleRun(
         name=name,
-        choreography=Choreography(proc, name=name),
+        choreography=Choreography(proc),
         census=census_of(names),
         args=args,
         inputs={"client": list(script)},
@@ -57,6 +64,7 @@ def _build_kvs_poly(script=None, backups=2, fail_backups=()) -> ExampleRun:
     if backups < 0:
         raise ConfigError("--backups must be >= 0")
     names = ["client", "primary"] + [f"backup{i}" for i in range(1, backups + 1)]
+    _require_known("--fail-backups", fail_backups, names[2:])
     return _kvs("kvs-poly", kvs_mod.kvs_poly, script, names, fail_backups=fail_backups)
 
 
@@ -68,6 +76,7 @@ def _build_gmw(circuit=DEFAULT_CIRCUIT, parties=None, inputs=None) -> ExampleRun
     owners = gmw_mod.circuit_input_owners(circuit)
     if parties:
         names = [f"p{i}" for i in range(1, parties + 1)]
+        _require_known("--inputs", inputs or (), names)
     else:
         seen = list(dict.fromkeys(owners)) or ["p1"]
         names = sorted(seen) if inputs is None else sorted(set(seen) | set(inputs))
@@ -80,7 +89,7 @@ def _build_gmw(circuit=DEFAULT_CIRCUIT, parties=None, inputs=None) -> ExampleRun
         raise ConfigError(f"circuit uses parties outside the census: {missing}")
     return ExampleRun(
         name="gmw",
-        choreography=Choreography(_gmw_proc, name="gmw"),
+        choreography=Choreography(_gmw_proc),
         census=census_of(names),
         args=circuit,
         inputs={k: list(v) for k, v in inputs.items()},
@@ -121,6 +130,8 @@ def _build_lottery(
     server_names = tuple(f"server{i}" for i in range(1, servers + 1))
     client_names = tuple(f"client{i}" for i in range(1, clients + 1))
     secrets = inputs or {}
+    _require_known("--inputs", secrets, client_names)
+    _require_known("--tamper", [tamper.server] if tamper else (), server_names)
     inputs = {
         name: list(secrets.get(name) or [(1000 + 13 * i) % FIELD_MODULUS])
         for i, name in enumerate(client_names)
@@ -130,7 +141,7 @@ def _build_lottery(
     )
     return ExampleRun(
         name="lottery",
-        choreography=Choreography(_lottery_proc, name="lottery"),
+        choreography=Choreography(_lottery_proc),
         census=census_of(["analyst", *server_names, *client_names]),
         args=args,
         inputs=inputs,
@@ -153,7 +164,7 @@ def _broken_proc(b: OperatorBundle, args) -> None:
 def _build_broken() -> ExampleRun:
     return ExampleRun(
         name="broken-pair",
-        choreography=Choreography(_broken_proc, name="broken-pair"),
+        choreography=Choreography(_broken_proc),
         census=census_of(["one", "two"]),
         args=None,
     )

@@ -1,10 +1,10 @@
 """The three located-data containers.
 
-MultiplyLocated: one value owned identically by a set of locations; present at
-owners, absent elsewhere.  Faceted: per-owner *distinct* private values under
-one handle, held as a dict from owner name to facet that lists the facets the
-interpreter can see.  Quire: a complete location-to-value map held wholly by
-whoever has it.
+MultiplyLocated: one value owned identically by a set of locations; its
+presence is its ownership, and a non-owner holds the `ABSENT` placeholder.
+Faceted: per-owner *distinct* private values under one handle, held as a dict
+from owner name to facet that lists the facets the interpreter can see.
+Quire: a complete location-to-value map held wholly by whoever has it.
 
 MultiplyLocated and Faceted are constructed only by the runtime;
 choreographies read them through unwrappers, `naked`, or the loop operators.
@@ -37,15 +37,15 @@ ABSENT = _AbsentType()
 class MultiplyLocated:
     """A value annotated with its non-empty owner set.
 
-    At an endpoint the payload is present iff that endpoint is an owner; in a
-    centralized run the payload is the single agreed value.
+    Presence is ownership: the payload is present exactly where the viewer is
+    an owner.  An endpoint that does not own the value stores `ABSENT`; the
+    centralized oracle stores the single agreed value.
     """
 
-    __slots__ = ("_owners", "_present", "_value")
+    __slots__ = ("_owners", "_value")
 
-    def __init__(self, owners: Census, present: bool, value: Any):
+    def __init__(self, owners: Census, value: Any):
         self._owners = owners
-        self._present = present
         self._value = value
 
     @property
@@ -53,12 +53,7 @@ class MultiplyLocated:
         return self._owners
 
     def __repr__(self) -> str:
-        state = "present" if self._present else "absent"
-        return f"<Located {list(self._owners.names)} {state}>"
-
-
-def _located(owners: Census, present: bool, value: Any) -> MultiplyLocated:
-    return MultiplyLocated(owners, present, value if present else ABSENT)
+        return f"<Located {list(self._owners.names)}>"
 
 
 class Faceted:

@@ -42,7 +42,7 @@ Global semantics, in one place:
 """
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from .errors import (
@@ -73,7 +73,6 @@ class Choreography:
 
     proc: Callable[["OperatorBundle", Any], Any]
     census: Census | None = None
-    name: str = field(default="")
 
 
 class Unwrapper:
@@ -228,31 +227,24 @@ class OperatorBundle(ABC):
             raise EmptyCensusError("an enclave census may not be empty")
         return as_callable(c, s.sub)
 
-    def _fanout_payloads(self, qs: SubsetWitness, per) -> dict[str, Any]:
-        """Runs the iterations in order; returns their payloads by location."""
+    def _loop_payloads(self, qs: SubsetWitness, per, rs: SubsetWitness | None = None):
+        """Runs a fanout's iterations, or with recipients `rs` a fanin's, in
+        order; returns their payloads by location.  Each iteration must yield a
+        value owned exactly by its own location (fanout) or by `rs` (fanin)."""
         self._require_subset(qs)
+        if rs is not None:
+            self._require_subset(rs)
+            if len(rs.sub) == 0:
+                raise EmptyCensusError("fanin needs at least one recipient")
+            recipients = rs.sub.names
         payloads = {}
         for i, loc in enumerate(qs.sub.members):
             ret = as_callable(per(MembershipWitness(loc, qs.sub, i)), self._census)(self)
-            if not isinstance(ret, MultiplyLocated) or ret.owners.names != (loc.name,):
+            owners = (loc.name,) if rs is None else recipients
+            if not isinstance(ret, MultiplyLocated) or ret.owners.names != owners:
+                op = "fanout" if rs is None else "fanin"
                 raise ContractError(
-                    f"fanout iteration must yield a value located exactly at {loc.name!r}"
-                )
-            payloads[loc.name] = ret._value
-        return payloads
-
-    def _fanin_payloads(self, qs: SubsetWitness, rs: SubsetWitness, per) -> dict[str, Any]:
-        """Runs the iterations in order; returns their payloads by location."""
-        self._require_subset(qs)
-        self._require_subset(rs)
-        if len(rs.sub) == 0:
-            raise EmptyCensusError("fanin needs at least one recipient")
-        payloads = {}
-        for i, loc in enumerate(qs.sub.members):
-            ret = as_callable(per(MembershipWitness(loc, qs.sub, i)), self._census)(self)
-            if not isinstance(ret, MultiplyLocated) or ret.owners != rs.sub:
-                raise ContractError(
-                    "fanin iteration must yield a value located at the recipients"
+                    f"{op} iteration must yield a value located exactly at {owners}"
                 )
             payloads[loc.name] = ret._value
         return payloads

@@ -10,7 +10,6 @@ from .report import (
     check_branch_agreement,
     check_fifo,
     check_value_agreement,
-    count_messages,
 )
 from .simulate import run_simulated
 from .views import view, view_json
@@ -28,7 +27,6 @@ __all__ = [
     "check_branch_agreement",
     "check_fifo",
     "check_value_agreement",
-    "count_messages",
     "view",
     "view_json",
 ]

@@ -12,7 +12,7 @@ from collections import deque
 from typing import Any
 
 from ..errors import ContractError, RunAborted
-from ..located import Faceted, MultiplyLocated, Quire, _located
+from ..located import Faceted, MultiplyLocated, Quire
 from ..locations import Census, MembershipWitness, SubsetWitness
 from ..ops import OperatorBundle, Unwrapper, run_proc
 from ..portable import decode, encode
@@ -73,7 +73,7 @@ class CentralBundle(OperatorBundle):
             raise
         except Exception as exc:
             raise _EndpointAbort(name, exc) from exc
-        return _located(Census((w.location,)), True, value)
+        return MultiplyLocated(Census((w.location,)), value)
 
     def multicast(self, s: MembershipWitness, r: SubsetWitness, v) -> MultiplyLocated:
         sender = self._check_multicast(s, r, v)
@@ -87,7 +87,7 @@ class CentralBundle(OperatorBundle):
                 MessageRecord(sender, q, len(data), self._state.next_seq(sender, q),
                               t_send=t, t_deliver=t, t_recv=t)
             )
-        return _located(r.sub, True, value)
+        return MultiplyLocated(r.sub, value)
 
     def naked(self, v) -> Any:
         self._check_naked(v)
@@ -102,7 +102,7 @@ class CentralBundle(OperatorBundle):
     def enclave(self, s: SubsetWitness, c) -> MultiplyLocated:
         proc = self._check_enclave(s, c)
         ret = proc(self._child(s.sub))
-        return _located(s.sub, True, ret)
+        return MultiplyLocated(s.sub, ret)
 
     def replicated(self, body) -> MultiplyLocated:
         un = Unwrapper(None, None, None, self._census)
@@ -110,24 +110,24 @@ class CentralBundle(OperatorBundle):
         canon = [canonical_bytes(x) for x in results]
         if any(c != canon[0] for c in canon):
             raise ContractError("replicated results disagree across the census")
-        return _located(self._census, True, results[0])
+        return MultiplyLocated(self._census, results[0])
 
     def fanout(self, qs: SubsetWitness, per) -> Faceted:
-        facets = self._fanout_payloads(qs, per)
+        facets = self._loop_payloads(qs, per)
         return Faceted(qs.sub, facets)
 
     def fanin(self, qs: SubsetWitness, rs: SubsetWitness, per) -> MultiplyLocated:
-        entries = self._fanin_payloads(qs, rs, per)
-        return _located(rs.sub, True, Quire(qs.sub, entries))
+        entries = self._loop_payloads(qs, per, rs)
+        return MultiplyLocated(rs.sub, Quire(qs.sub, entries))
 
     def flatten(self, outer: SubsetWitness, inner: SubsetWitness, v) -> MultiplyLocated:
         self._check_flatten(outer, inner, v)
         value = self._check_nested(inner, v._value)
-        return _located(outer.sub, True, value)
+        return MultiplyLocated(outer.sub, value)
 
     def others_forget(self, t: SubsetWitness, v) -> MultiplyLocated:
         self._check_others_forget(t, v)
-        return _located(t.sub, True, v._value)
+        return MultiplyLocated(t.sub, v._value)
 
 
 def run_centralized(

@@ -1,25 +1,29 @@
 """Endpoint projection as dependency injection.
 
 `project_and_run` builds an operator bundle whose implementations act for one
-location over a transport, then simply calls the choreography with it: values
-this endpoint does not own surface as absent, sends happen where this endpoint
-is the sender, receives where it is a recipient, and enclaves it is outside of
-are skipped entirely.
+location over a transport, then simply calls the choreography with it.  Each
+operator computes a payload only where this endpoint owns the result and
+stores the `ABSENT` placeholder elsewhere; sends happen where this endpoint
+is the sender, receives where it is a recipient, and enclaves it is outside
+of are skipped entirely.
 
 The value audit is opt-in.  With `audit=True` an endpoint also records one
-`ValueRecord` per located or faceted value it constructs, `present` exactly
-where it holds the payload (for a faceted value, its own facet), and a
-send/recv/enter/exit event trail.  `check_value_agreement`, and through it
-`conformance.compare_runs`, read the records, so the runs compared with the
-oracle turn the audit on.  By default only the branch log and the message
-log are kept, which is all that `RunReport.serialize()` reads.
+`ValueRecord` per located or faceted value it constructs, and a
+send/recv/enter/exit event trail.  A record is `present` exactly where the
+endpoint holds a payload other than `ABSENT` (for a faceted value, its own
+facet): it is read from what the endpoint holds, not from the owner set, so
+that `check_value_agreement` can find the two out of step.  That check, and
+through it `conformance.compare_runs`, read the records, so the runs
+compared with the oracle turn the audit on.  By default only the branch log
+and the message log are kept, which is all that `RunReport.serialize()`
+reads.
 """
 
 from collections import deque
 from typing import Any
 
 from ..errors import WitnessMismatchError
-from ..located import Faceted, MultiplyLocated, Quire, _located
+from ..located import ABSENT, Faceted, MultiplyLocated, Quire
 from ..locations import Census, MembershipWitness, SubsetWitness
 from ..ops import OperatorBundle, Unwrapper, run_proc
 from ..portable import decode, encode
@@ -88,7 +92,7 @@ class EndpointBundle(OperatorBundle):
         if isinstance(v, Faceted):
             kind, present, payload = "faceted", self._state.self_name in v._facets, None
         else:
-            kind, present = "mlv", v._present
+            kind, present = "mlv", v._value is not ABSENT
             payload = try_encode(v._value) if present else None
         state = "present" if present else "absent"
         self._state.log.values.append(ValueRecord(sig, seq, kind, v.owners.names, state, payload))
@@ -101,32 +105,28 @@ class EndpointBundle(OperatorBundle):
         self._state.log.branches.append(BranchRecord(sig, index, canonical_bytes(value)))
 
     # -- core operators -------------------------------------------------------
+    # Each value starts as ABSENT and is computed only where this endpoint is
+    # one of its owners.
 
     def locally(self, w: MembershipWitness, body) -> MultiplyLocated:
         self._require_member(w)
-        owners = Census((w.location,))
+        value = ABSENT
         if w.location.name == self._state.self_name:
-            un = Unwrapper(w.location, self._state.rng, self._state.inputs, None)
-            mlv = _located(owners, True, body(un))
-        else:
-            mlv = _located(owners, False, None)
-        return self._record(mlv)
+            value = body(Unwrapper(w.location, self._state.rng, self._state.inputs, None))
+        return self._record(MultiplyLocated(Census((w.location,)), value))
 
     def multicast(self, s: MembershipWitness, r: SubsetWitness, v) -> MultiplyLocated:
         sender = self._check_multicast(s, r, v)
         me = self._state.self_name
+        value = ABSENT
         if me == sender:
             data = encode(v._value)
             for q in r.sub.names:
                 if q != me:
                     self._state.send(q, data)
-        elif me in r.sub:
-            data = self._state.recv(sender)
         if me in r.sub:
-            mlv = _located(r.sub, True, decode(data))
-        else:
-            mlv = _located(r.sub, False, None)
-        return self._record(mlv)
+            value = decode(data if me == sender else self._state.recv(sender))
+        return self._record(MultiplyLocated(r.sub, value))
 
     def naked(self, v) -> Any:
         self._check_naked(v)
@@ -136,48 +136,41 @@ class EndpointBundle(OperatorBundle):
     def enclave(self, s: SubsetWitness, c) -> MultiplyLocated:
         proc = self._check_enclave(s, c)
         sig = s.sub.names
+        value = ABSENT
         if self._state.self_name in s.sub:
             if self._state.audit:
                 self._state.log.events.append(("enter", sig))
-            ret = proc(self._child(s.sub))
+            value = proc(self._child(s.sub))
             if self._state.audit:
                 self._state.log.events.append(("exit", sig))
-            mlv = _located(s.sub, True, ret)
-        else:
-            mlv = _located(s.sub, False, None)
-        return self._record(mlv)
+        return self._record(MultiplyLocated(s.sub, value))
 
     def replicated(self, body) -> MultiplyLocated:
-        un = Unwrapper(None, None, None, self._census)
-        value = body(un)
-        return self._record(_located(self._census, True, value))
+        value = body(Unwrapper(None, None, None, self._census))
+        return self._record(MultiplyLocated(self._census, value))
 
     def fanout(self, qs: SubsetWitness, per) -> Faceted:
-        payloads = self._fanout_payloads(qs, per)
+        payloads = self._loop_payloads(qs, per)
         me = self._state.self_name
-        own = {me: payloads[me]} if me in payloads else {}
+        own = {me: payloads[me]} if me in qs.sub else {}
         return self._record(Faceted(qs.sub, own))
 
     def fanin(self, qs: SubsetWitness, rs: SubsetWitness, per) -> MultiplyLocated:
-        entries = self._fanin_payloads(qs, rs, per)
-        if self._state.self_name in rs.sub:
-            mlv = _located(rs.sub, True, Quire(qs.sub, entries))
-        else:
-            mlv = _located(rs.sub, False, None)
-        return self._record(mlv)
+        entries = self._loop_payloads(qs, per, rs)
+        value = Quire(qs.sub, entries) if self._state.self_name in rs.sub else ABSENT
+        return self._record(MultiplyLocated(rs.sub, value))
 
     def flatten(self, outer: SubsetWitness, inner: SubsetWitness, v) -> MultiplyLocated:
         self._check_flatten(outer, inner, v)
+        value = ABSENT
         if self._state.self_name in outer.sub:
-            mlv = _located(outer.sub, True, self._check_nested(inner, v._value))
-        else:
-            mlv = _located(outer.sub, False, None)
-        return self._record(mlv)
+            value = self._check_nested(inner, v._value)
+        return self._record(MultiplyLocated(outer.sub, value))
 
     def others_forget(self, t: SubsetWitness, v) -> MultiplyLocated:
         self._check_others_forget(t, v)
-        present = self._state.self_name in t.sub  # then v._value is present too
-        return self._record(_located(t.sub, present, v._value))
+        value = v._value if self._state.self_name in t.sub else ABSENT
+        return self._record(MultiplyLocated(t.sub, value))
 
 
 def run_endpoint(

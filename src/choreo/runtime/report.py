@@ -116,21 +116,6 @@ def _site(sig: tuple[str, ...], index: int) -> str:
     return "+".join(sig).replace(" ", "_") + f"#{index}"
 
 
-def count_messages(messages, senders=None, receivers=None, t_range=None) -> int:
-    """Count messages, optionally filtered by sender set, receiver set, and a
-    half-open send-time interval (t_lo, t_hi)."""
-    total = 0
-    for m in messages:
-        if senders is not None and m.sender not in senders:
-            continue
-        if receivers is not None and m.receiver not in receivers:
-            continue
-        if t_range is not None and not (t_range[0] <= m.t_send < t_range[1]):
-            continue
-        total += 1
-    return total
-
-
 def check_fifo(report: RunReport) -> list[str]:
     """Per ordered pair, delivered seq values must be 0,1,2,... with no gaps,
     and consumption order must follow send order.

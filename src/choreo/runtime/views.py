@@ -1,11 +1,13 @@
 """Projection of run results to plain, comparable, JSON-able structures.
 
 A view describes a choreography's return value *as seen by one endpoint*:
-located values collapse to their payload at owners and to an absent marker at
-non-owners, faceted values collapse to the endpoint's own facet, quires list
-their entries in key order.  Views from a centralized run and a simulated or
-TCP run of the same protocol compare equal, which is what the equivalence
-suites check.
+a located value collapses to its payload exactly where the endpoint is one of
+its owners and to an absent marker elsewhere, a faceted value to the
+endpoint's own facet, and a quire lists its entries in key order.  A view with
+no endpoint (the branch-log fallback of `canonical_bytes`) therefore shows
+located and faceted payloads as absent under every interpreter.  Views from a
+centralized run and a simulated or TCP run of the same protocol compare equal,
+which is what the equivalence suites check.
 """
 
 import json
@@ -21,10 +23,10 @@ ABSENT_MARK = "?absent"
 
 def view(value: Any, endpoint: str | None) -> Any:
     if isinstance(value, MultiplyLocated):
-        present = value._present and (endpoint is None or endpoint in value.owners)
+        has = endpoint in value.owners
         return {
             "located": list(value.owners.names),
-            "value": view(value._value, endpoint) if present else ABSENT_MARK,
+            "value": view(value._value, endpoint) if has else ABSENT_MARK,
         }
     if isinstance(value, Faceted):
         has = endpoint in value._facets

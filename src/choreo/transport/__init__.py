@@ -8,7 +8,7 @@ drops.
 """
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 
 @dataclass
@@ -30,7 +30,6 @@ class MessageRecord:
     t_recv: int | None = None
 
 
-@runtime_checkable
 class Transport(Protocol):
     def send(self, to: str, body: bytes) -> None: ...
 

@@ -268,12 +268,13 @@ def test_parallel_facets_differ():
 
 
 def test_naked_faceted_payload_logs_agree():
-    # a faceted value reads as absent in a branch log under every interpreter
-    def chor(b, args):
-        inner = b.enclave(b.everyone(), lambda eb: eb.parallel(eb.everyone(), lambda loc, un: 1))
-        return b.naked(inner)
-
-    run_agreeing(chor, PCH)
+    # a faceted or located payload inside a naked value reads as absent in a
+    # branch log under every interpreter, the oracle included
+    for inner in (
+        lambda eb: eb.parallel(eb.everyone(), lambda loc, un: 1),
+        lambda eb: eb.locally(eb.member("p"), lambda un: 5),
+    ):
+        run_agreeing(lambda b, args: b.naked(b.enclave(b.everyone(), inner)), PCH)
 
 
 def test_scatter_counts_and_privacy():

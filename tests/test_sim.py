@@ -122,18 +122,6 @@ def test_unknown_routes_rejected():
     assert isinstance(errors["a"], TransportError)
 
 
-def test_count_messages_filters():
-    from choreo import count_messages
-
-    net = SimNet(["a", "b", "c"], seed=1)
-    net.run(_two_senders(net))
-    assert count_messages([]) == 0
-    assert count_messages(net.messages) == 2
-    assert count_messages(net.messages, senders={"a"}) == 1
-    assert count_messages(net.messages, receivers={"c"}) == 2
-    assert count_messages(net.messages, t_range=(0, 0)) == 0
-
-
 def test_run_simulated_determinism():
     from choreo.examples import build_example
 
