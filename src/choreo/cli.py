@@ -7,6 +7,8 @@ centralized and simulate modes: one `RESULT endpoint json` line per endpoint,
 in census order.  Exit status is 0 only if every endpoint produced a result.
 """
 
+from __future__ import annotations
+
 import argparse
 import json
 import sys

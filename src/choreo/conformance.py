@@ -11,6 +11,8 @@ The runs it reads, and the lottery suite's, record the value audit
 (`audit=True`); the other suites, `gmw_check` included, leave it off.
 """
 
+from __future__ import annotations
+
 import random
 from collections import deque
 from dataclasses import dataclass

@@ -6,6 +6,8 @@ ready for any of the three run modes.  Its signature is the one statement of
 which options an example takes: `build_example` rejects any other.
 """
 
+from __future__ import annotations
+
 import inspect
 from dataclasses import dataclass, field
 from typing import Any

@@ -11,6 +11,8 @@ choreographies read them through unwrappers, `naked`, or the loop operators.
 Quire is an ordinary container with a public constructor.
 """
 
+from __future__ import annotations
+
 from typing import Any, Iterator, Mapping
 
 from .errors import ContractError

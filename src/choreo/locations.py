@@ -7,7 +7,17 @@ makes whole runs deterministic for a fixed seed.
 Witnesses are fail-fast proofs: `member` and `subset` are the only
 constructors, and they validate the claimed relation when the witness is
 built, so any witness that exists is sound.
+
+Censuses are interned by their name tuple: `census_of` returns one shared
+`Census` per tuple, and a witness is validated once, the first time `member`
+or `subset` is asked for it, then kept frozen and handed out again.  So
+narrowing to a census a run has seen before allocates nothing, and comparing
+two censuses is usually an identity check.  A `Census` built directly still
+equals the interned one with the same names.  The tables hold only immutable
+values and grow with the distinct censuses a program names.
 """
+
+from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -76,7 +86,9 @@ class Census:
         return len(self._members)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Census) and self._members == other._members
+        if self is other:
+            return True
+        return isinstance(other, Census) and self._names == other._names
 
     def __hash__(self) -> int:
         return hash(self._members)
@@ -87,17 +99,31 @@ class Census:
 
 EMPTY = Census(())
 
+# name tuple -> its one shared Census
+_CENSUSES: dict[tuple[str, ...], Census] = {(): EMPTY}
+# (census names, location name) and (sub names, sup names) -> the witness
+# validated when first asked for
+_MEMBERS: dict[tuple[tuple[str, ...], str], MembershipWitness] = {}
+_SUBSETS: dict[tuple[tuple[str, ...], tuple[str, ...]], SubsetWitness] = {}
+
 
 def census_of(names: Iterable[str]) -> Census:
-    """Build a census from location names, in the given order.
+    """The census of these location names, in the given order.
 
     Raises EmptyCensusError for an empty list and DuplicateLocationError for a
     repeated name.
     """
-    listed = list(names)
-    if not listed:
+    key = tuple(names)
+    if not key:
         raise EmptyCensusError("a census must contain at least one location")
-    return Census(tuple(Location(n) for n in listed))
+    census = _CENSUSES.get(key)
+    if census is None:
+        census = _CENSUSES.setdefault(key, Census(tuple(Location(n) for n in key)))
+    return census
+
+
+def _interned(census: Census) -> Census:
+    return _CENSUSES.setdefault(census._names, census)
 
 
 @dataclass(frozen=True)
@@ -127,19 +153,29 @@ class SubsetWitness:
 
 def member(name: str, census: Census) -> MembershipWitness:
     """Witness that `name` belongs to `census`; raises NotAMemberError."""
-    index = census.position(name)
-    return MembershipWitness(census.members[index], census, index)
+    key = (census._names, name)
+    witness = _MEMBERS.get(key)
+    if witness is None:
+        index = census.position(name)
+        witness = MembershipWitness(census.members[index], _interned(census), index)
+        witness = _MEMBERS.setdefault(key, witness)
+    return witness
 
 
 def subset(sub: Census, sup: Census) -> SubsetWitness:
     """Witness that `sub` is contained in `sup`; raises NotASubsetError
     naming the first offending location."""
+    key = (sub._names, sup._names)
+    witness = _SUBSETS.get(key)
+    if witness is not None:
+        return witness
     index_map = []
     for loc in sub.members:
         if loc.name not in sup:
             raise NotASubsetError(f"{loc.name!r} is not in census {sup.names}")
         index_map.append(sup.position(loc.name))
-    return SubsetWitness(sub, sup, tuple(index_map))
+    witness = SubsetWitness(_interned(sub), _interned(sup), tuple(index_map))
+    return _SUBSETS.setdefault(key, witness)
 
 
 def compose(m: MembershipWitness, s: SubsetWitness) -> MembershipWitness:
@@ -148,4 +184,4 @@ def compose(m: MembershipWitness, s: SubsetWitness) -> MembershipWitness:
         raise WitnessMismatchError(
             f"membership is over {m.census.names}, subset is from {s.sub.names}"
         )
-    return MembershipWitness(m.location, s.sup, s.index_map[m.index])
+    return member(m.location.name, s.sup)

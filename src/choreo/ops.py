@@ -41,6 +41,8 @@ Global semantics, in one place:
                               set; never communicate.
 """
 
+from __future__ import annotations
+
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
@@ -56,6 +58,7 @@ from .errors import (
 )
 from .located import Faceted, MultiplyLocated, Quire
 from .locations import (
+    EMPTY,
     Census,
     MembershipWitness,
     SubsetWitness,
@@ -122,7 +125,7 @@ class Unwrapper:
             return value._value
         if isinstance(value, (MultiplyLocated, Faceted)):
             name = self.location.name
-            if name not in value.owners:
+            if name not in value._owners:
                 raise UnwrapAbsentError(
                     f"{name!r} does not own the value (owners: {value.owners.names})"
                 )
@@ -174,21 +177,26 @@ class OperatorBundle(ABC):
     def subset(self, names: Iterable[str] | Census) -> SubsetWitness:
         if isinstance(names, Census):
             return subset(names, self._census)
-        listed = list(names)
-        sub = census_of(listed) if listed else Census(())
-        return subset(sub, self._census)
+        listed = tuple(names)
+        return subset(census_of(listed) if listed else EMPTY, self._census)
 
     def everyone(self) -> SubsetWitness:
         return subset(self._census, self._census)
 
+    # Censuses are interned, so the identity test settles almost every check.
+
     def _require_member(self, w: MembershipWitness) -> None:
-        if not isinstance(w, MembershipWitness) or w.census != self._census:
+        if not isinstance(w, MembershipWitness) or (
+            w.census is not self._census and w.census != self._census
+        ):
             raise WitnessMismatchError(
                 f"membership witness is not for the current census {self._census.names}"
             )
 
     def _require_subset(self, s: SubsetWitness) -> None:
-        if not isinstance(s, SubsetWitness) or s.sup != self._census:
+        if not isinstance(s, SubsetWitness) or (
+            s.sup is not self._census and s.sup != self._census
+        ):
             raise WitnessMismatchError(
                 f"subset witness is not into the current census {self._census.names}"
             )
@@ -214,6 +222,8 @@ class OperatorBundle(ABC):
     def _check_naked(self, v) -> None:
         if not isinstance(v, MultiplyLocated):
             raise ContractError("naked takes a multiply-located value")
+        if v._owners is self._census:
+            return
         missing = [n for n in self._census.names if n not in v.owners]
         if missing:
             raise CensusNotOwnedError(
@@ -238,10 +248,10 @@ class OperatorBundle(ABC):
                 raise EmptyCensusError("fanin needs at least one recipient")
             recipients = rs.sub.names
         payloads = {}
-        for i, loc in enumerate(qs.sub.members):
-            ret = as_callable(per(MembershipWitness(loc, qs.sub, i)), self._census)(self)
+        for loc in qs.sub.members:
+            ret = as_callable(per(member(loc.name, qs.sub)), self._census)(self)
             owners = (loc.name,) if rs is None else recipients
-            if not isinstance(ret, MultiplyLocated) or ret.owners.names != owners:
+            if not isinstance(ret, MultiplyLocated) or ret._owners.names != owners:
                 op = "fanout" if rs is None else "fanin"
                 raise ContractError(
                     f"{op} iteration must yield a value located exactly at {owners}"

@@ -13,10 +13,12 @@ the choice (its received bytes do not depend on the select bit) are the
 properties the tests check.
 """
 
+from __future__ import annotations
+
 import hashlib
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Iterable, Union
+from typing import Any, Iterable
 
 from ..errors import (
     ConfigError,
@@ -52,7 +54,7 @@ class XorGate:
     right: "Circuit"
 
 
-Circuit = Union[InputWire, LitWire, AndGate, XorGate]
+Circuit = InputWire | LitWire | AndGate | XorGate
 
 
 def xor_fold(bits: Iterable[Any]) -> bool:

@@ -10,6 +10,8 @@ enclave can branch on it without any further communication.  The polymorphic
 variant works for any number of backups, including zero.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
 from typing import Any
 

@@ -11,6 +11,8 @@ the last server from steering the index: by the time anyone opens, every draw
 is pinned down.
 """
 
+from __future__ import annotations
+
 import hashlib
 from dataclasses import dataclass
 

@@ -8,12 +8,14 @@ are compared on.  Every member's view derives from one value held here, so
 per-member value records or events could never disagree: none are written.
 """
 
+from __future__ import annotations
+
 from collections import deque
 from typing import Any
 
 from ..errors import ContractError, RunAborted
 from ..located import Faceted, MultiplyLocated, Quire
-from ..locations import Census, MembershipWitness, SubsetWitness
+from ..locations import Census, MembershipWitness, SubsetWitness, census_of
 from ..ops import OperatorBundle, Unwrapper, run_proc
 from ..portable import decode, encode
 from ..seeding import location_rng
@@ -35,8 +37,16 @@ class _CentralState:
     def __init__(self, census: Census, seed: int, inputs: dict):
         self.clock = 0
         self.logs = {n: EndpointLog(n) for n in census.names}
-        self.rngs = {n: location_rng(seed, n) for n in census.names}
-        self.inputs = {n: deque(inputs.get(n, [])) for n in census.names}
+        # per location: the unwrapper its local bodies get, and the census
+        # that owns their results
+        self.locals = {
+            loc.name: (
+                Unwrapper(loc, location_rng(seed, loc.name),
+                          deque(inputs.get(loc.name, [])), None),
+                census_of((loc.name,)),
+            )
+            for loc in census
+        }
         # one count per census context: its members always record together
         self.branch_counters: dict[tuple, int] = {}
         self.seqs: dict[tuple[str, str], int] = {}
@@ -66,14 +76,14 @@ class CentralBundle(OperatorBundle):
     def locally(self, w: MembershipWitness, body) -> MultiplyLocated:
         self._require_member(w)
         name = w.location.name
-        un = Unwrapper(w.location, self._state.rngs[name], self._state.inputs[name], None)
+        un, owners = self._state.locals[name]
         try:
             value = body(un)
         except _EndpointAbort:
             raise
         except Exception as exc:
             raise _EndpointAbort(name, exc) from exc
-        return MultiplyLocated(Census((w.location,)), value)
+        return MultiplyLocated(owners, value)
 
     def multicast(self, s: MembershipWitness, r: SubsetWitness, v) -> MultiplyLocated:
         sender = self._check_multicast(s, r, v)

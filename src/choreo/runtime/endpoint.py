@@ -19,12 +19,14 @@ and the message log are kept, which is all that `RunReport.serialize()`
 reads.
 """
 
+from __future__ import annotations
+
 from collections import deque
 from typing import Any
 
 from ..errors import WitnessMismatchError
 from ..located import ABSENT, Faceted, MultiplyLocated, Quire
-from ..locations import Census, MembershipWitness, SubsetWitness
+from ..locations import Census, Location, MembershipWitness, SubsetWitness, census_of
 from ..ops import OperatorBundle, Unwrapper, run_proc
 from ..portable import decode, encode
 from ..seeding import location_rng
@@ -39,8 +41,7 @@ class EndpointState:
     def __init__(self, name: str, transport: Transport, rng, inputs, log: EndpointLog):
         self.self_name = name
         self.transport = transport
-        self.rng = rng
-        self.inputs = inputs
+        self.unwrapper = Unwrapper(Location(name), rng, inputs, None)
         self.log = log
         self.audit = log.audited
         self.clock = 0
@@ -110,10 +111,9 @@ class EndpointBundle(OperatorBundle):
 
     def locally(self, w: MembershipWitness, body) -> MultiplyLocated:
         self._require_member(w)
-        value = ABSENT
-        if w.location.name == self._state.self_name:
-            value = body(Unwrapper(w.location, self._state.rng, self._state.inputs, None))
-        return self._record(MultiplyLocated(Census((w.location,)), value))
+        name = w.location.name
+        value = body(self._state.unwrapper) if name == self._state.self_name else ABSENT
+        return self._record(MultiplyLocated(census_of((name,)), value))
 
     def multicast(self, s: MembershipWitness, r: SubsetWitness, v) -> MultiplyLocated:
         sender = self._check_multicast(s, r, v)

@@ -6,6 +6,8 @@ line per message in send order, then one `BRANCH endpoint site outcome` line
 per branch event, grouped by endpoint in census order.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass, field
 from typing import Any
 

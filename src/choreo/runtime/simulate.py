@@ -1,6 +1,8 @@
 """Simulated whole-system runs: one endpoint task per census member over the
 deterministic in-memory transport, with seeded interleaving."""
 
+from __future__ import annotations
+
 from typing import Any
 
 from ..locations import Census

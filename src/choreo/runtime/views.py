@@ -10,6 +10,8 @@ centralized run and a simulated or TCP run of the same protocol compare equal,
 which is what the equivalence suites check.
 """
 
+from __future__ import annotations
+
 import json
 from typing import Any
 

@@ -1,5 +1,7 @@
 """Deterministic derivation of per-location and per-purpose random streams."""
 
+from __future__ import annotations
+
 import hashlib
 import random
 

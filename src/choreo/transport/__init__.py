@@ -7,11 +7,13 @@ and no duplication, and failures surface as TransportError rather than silent
 drops.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
 from typing import Protocol
 
 
-@dataclass
+@dataclass(slots=True)
 class MessageRecord:
     """One message as seen by the instrumentation.
 

@@ -25,6 +25,8 @@ points count as steps.  Every task thread has returned by the time `run`
 does; one that has not is a TransportError, never a silent leak.
 """
 
+from __future__ import annotations
+
 import random
 import threading
 from collections import deque

@@ -20,6 +20,8 @@ location outside the address book raises at once.  No retries, no TLS, no
 partial-failure tolerance.
 """
 
+from __future__ import annotations
+
 import queue
 import socket
 import struct

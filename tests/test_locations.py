@@ -1,8 +1,21 @@
+from collections import deque
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from choreo import EMPTY, Census, census_of, compose, member, subset
+from choreo import (
+    EMPTY,
+    Census,
+    Choreography,
+    Location,
+    SubsetWitness,
+    census_of,
+    compose,
+    member,
+    run_centralized,
+    subset,
+)
 from choreo.errors import (
     DuplicateLocationError,
     EmptyCensusError,
@@ -10,6 +23,7 @@ from choreo.errors import (
     NotASubsetError,
     WitnessMismatchError,
 )
+from choreo.protocols import gmw as G
 
 
 def test_census_of_order_and_contents():
@@ -92,3 +106,63 @@ def test_census_names_is_one_tuple_in_census_order():
     assert repr(c) == "Census('carol', 'alice', 'bob')"
     assert EMPTY == Census(()) and hash(EMPTY) == hash(())
     assert repr(EMPTY) == "Census()"
+
+
+# -- the intern tables (censuses by name tuple, witnesses by census pair) ----
+
+
+def test_census_of_interns_and_direct_censuses_still_equal():
+    c = census_of(["carol", "alice"])
+    assert census_of(("carol", "alice")) is c
+    direct = Census((Location("carol"), Location("alice")))
+    assert direct is not c
+    assert direct == c and c == direct and hash(direct) == hash(c)
+    assert direct != census_of(["alice", "carol"])
+
+
+def test_a_warm_witness_cache_still_rejects_a_non_subset():
+    sup = census_of(["client", "primary", "backup"])
+    servers = census_of(["primary", "backup"])
+    subset(servers, sup)
+    subset(sup, sup)
+    for _ in range(2):
+        with pytest.raises(NotASubsetError, match="client"):
+            subset(sup, servers)
+        with pytest.raises(NotASubsetError, match="mallory"):
+            subset(census_of(["primary", "mallory"]), sup)
+
+
+@given(names, st.data())
+def test_cached_witness_equals_a_freshly_validated_one(listed, data):
+    sup = census_of(listed)
+    take = data.draw(st.lists(st.sampled_from(listed), max_size=len(listed), unique=True))
+    direct = Census(tuple(Location(n) for n in take))
+    first = subset(direct, sup)
+    again = subset(census_of(take) if take else EMPTY, sup)
+    assert again is first
+    fresh = SubsetWitness(direct, sup, tuple(listed.index(n) for n in take))
+    assert again == fresh
+    assert again.sub.names == tuple(take) and again.sup is sup
+
+
+def test_a_repeated_oracle_run_builds_no_census(monkeypatch):
+    circuit = G.parse_circuit("(and (in p1) (in p2))")
+    census = census_of(["p1", "p2", "p3"])
+    chor = Choreography(lambda b, c: G.mpc(b, c))
+
+    def run():
+        inputs = {"p1": deque([True]), "p2": deque([True])}
+        return run_centralized(chor, census, circuit, seed=5, inputs=inputs)
+
+    first = run()
+    built = []
+    init = Census.__init__
+
+    def counting(self, members):
+        built.append(tuple(loc.name for loc in members))
+        init(self, members)
+
+    monkeypatch.setattr(Census, "__init__", counting)
+    second = run()
+    assert second.serialize() == first.serialize()
+    assert built == []

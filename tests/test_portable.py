@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -104,3 +106,34 @@ def test_roundtrip_property(value):
     data = encode(value)
     assert decode(data) == value
     assert encode(value) == data
+
+
+INT64_EDGES = (-(1 << 63), -(1 << 63) + 1, -1, 0, 1, 2, (1 << 63) - 2, (1 << 63) - 1)
+
+
+@given(st.booleans() | st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1))
+def test_scalars_encode_to_the_grammar_and_keep_their_type(value):
+    # bool and int64 take a fast path in encode/decode; it must give the
+    # grammar's bytes and must not confuse True with 1 or False with 0.
+    if isinstance(value, bool):
+        expected = bytes((1, int(value)))
+    else:
+        expected = b"\x02" + struct.pack(">q", value)
+    data = encode(value)
+    assert data == expected
+    back = decode(data)
+    assert back == value and type(back) is type(value)
+    # the same value inside a container goes through the generic path
+    assert encode([value]) == b"\x06\x00\x00\x00\x01" + expected
+    assert type(decode(encode([value]))[0]) is type(value)
+
+
+def test_int64_edges_and_bool_int_lookalikes():
+    for v in INT64_EDGES:
+        assert decode(encode(v)) == v and type(decode(encode(v))) is int
+    assert encode(True) != encode(1) and encode(False) != encode(0)
+    assert decode(encode(1)) is not True and decode(encode(True)) is True
+    assert decode(encode(0)) is not False and decode(encode(False)) is False
+    for out_of_range in (-(1 << 63) - 1, 1 << 63):
+        with pytest.raises(EncodeError):
+            encode(out_of_range)

@@ -117,6 +117,8 @@ def test_report_serialization_format():
     sender, receiver, nbytes, t = msg[0].split()[1:]
     assert (sender, receiver) == ("a", "b")
     assert int(nbytes) > 0 and int(t) >= 0
+    # message records are slotted: no per-record __dict__
+    assert not hasattr(simulated.messages[0], "__dict__")
 
 
 def test_centralized_same_seed_identical_reports():
