@@ -11,10 +11,10 @@ built, so any witness that exists is sound.
 Censuses are interned by their name tuple: `census_of` returns one shared
 `Census` per tuple, and a witness is validated once, the first time `member`
 or `subset` is asked for it, then kept frozen and handed out again.  So
-narrowing to a census a run has seen before allocates nothing, and comparing
-two censuses is usually an identity check.  A `Census` built directly still
-equals the interned one with the same names.  The tables hold only immutable
-values and grow with the distinct censuses a program names.
+narrowing to a census a run has seen before builds no census or witness, and
+comparing two censuses is usually an identity check.  A `Census` built
+directly still equals the interned one with the same names.  The tables hold
+only immutable values and grow with the distinct censuses a program names.
 """
 
 from __future__ import annotations
@@ -184,4 +184,4 @@ def compose(m: MembershipWitness, s: SubsetWitness) -> MembershipWitness:
         raise WitnessMismatchError(
             f"membership is over {m.census.names}, subset is from {s.sub.names}"
         )
-    return member(m.location.name, s.sup)
+    return MembershipWitness(m.location, s.sup, s.index_map[m.index])

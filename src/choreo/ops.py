@@ -183,7 +183,8 @@ class OperatorBundle(ABC):
     def everyone(self) -> SubsetWitness:
         return subset(self._census, self._census)
 
-    # Censuses are interned, so the identity test settles almost every check.
+    # Censuses are interned, so the identity test settles almost every check
+    # without a Python-level call to Census.__eq__, which `!=` would make.
 
     def _require_member(self, w: MembershipWitness) -> None:
         if not isinstance(w, MembershipWitness) or (
@@ -248,8 +249,8 @@ class OperatorBundle(ABC):
                 raise EmptyCensusError("fanin needs at least one recipient")
             recipients = rs.sub.names
         payloads = {}
-        for loc in qs.sub.members:
-            ret = as_callable(per(member(loc.name, qs.sub)), self._census)(self)
+        for i, loc in enumerate(qs.sub.members):
+            ret = as_callable(per(MembershipWitness(loc, qs.sub, i)), self._census)(self)
             owners = (loc.name,) if rs is None else recipients
             if not isinstance(ret, MultiplyLocated) or ret._owners.names != owners:
                 op = "fanout" if rs is None else "fanin"

@@ -38,11 +38,6 @@ _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 _MAX_COUNT = (1 << 32) - 1
 
-# Whole encodings of the two booleans, and the tag that starts an int64's.
-_FALSE = bytes((TAG_BOOL, 0))
-_TRUE = bytes((TAG_BOOL, 1))
-_INT64_TAG = bytes((TAG_INT64,))
-
 
 @dataclass(frozen=True)
 class Variant:
@@ -53,24 +48,12 @@ class Variant:
 
 
 def encode(value: Any) -> bytes:
-    # Fast paths for the commonest wire values, byte for byte the generic
-    # path's output.  They test the exact type: True is also an int.
-    kind = type(value)
-    if kind is bool:
-        return _TRUE if value else _FALSE
-    if kind is int and _INT64_MIN <= value <= _INT64_MAX:
-        return _INT64_TAG + value.to_bytes(8, "big", signed=True)
     out = bytearray()
     _write(out, value)
     return bytes(out)
 
 
 def decode(data: bytes) -> Any:
-    size = len(data)
-    if size == 2 and data[0] == TAG_BOOL and data[1] <= 1:
-        return data[1] == 1
-    if size == 9 and data[0] == TAG_INT64:
-        return int.from_bytes(data[1:], "big", signed=True)
     value, offset = _read(data, 0)
     if offset != len(data):
         raise DecodeError(f"{len(data) - offset} trailing bytes after value")

@@ -37,15 +37,9 @@ class _CentralState:
     def __init__(self, census: Census, seed: int, inputs: dict):
         self.clock = 0
         self.logs = {n: EndpointLog(n) for n in census.names}
-        # per location: the unwrapper its local bodies get, and the census
-        # that owns their results
-        self.locals = {
-            loc.name: (
-                Unwrapper(loc, location_rng(seed, loc.name),
-                          deque(inputs.get(loc.name, [])), None),
-                census_of((loc.name,)),
-            )
-            for loc in census
+        self.unwrappers = {
+            n: Unwrapper(loc, location_rng(seed, n), deque(inputs.get(n, [])), None)
+            for n, loc in zip(census.names, census.members)
         }
         # one count per census context: its members always record together
         self.branch_counters: dict[tuple, int] = {}
@@ -76,14 +70,14 @@ class CentralBundle(OperatorBundle):
     def locally(self, w: MembershipWitness, body) -> MultiplyLocated:
         self._require_member(w)
         name = w.location.name
-        un, owners = self._state.locals[name]
+        un = self._state.unwrappers[name]
         try:
             value = body(un)
         except _EndpointAbort:
             raise
         except Exception as exc:
             raise _EndpointAbort(name, exc) from exc
-        return MultiplyLocated(owners, value)
+        return MultiplyLocated(census_of((name,)), value)
 
     def multicast(self, s: MembershipWitness, r: SubsetWitness, v) -> MultiplyLocated:
         sender = self._check_multicast(s, r, v)

@@ -113,8 +113,8 @@ INT64_EDGES = (-(1 << 63), -(1 << 63) + 1, -1, 0, 1, 2, (1 << 63) - 2, (1 << 63)
 
 @given(st.booleans() | st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1))
 def test_scalars_encode_to_the_grammar_and_keep_their_type(value):
-    # bool and int64 take a fast path in encode/decode; it must give the
-    # grammar's bytes and must not confuse True with 1 or False with 0.
+    # True is also an int: encode must give each its own tag, and decode
+    # must give back the type that went in.
     if isinstance(value, bool):
         expected = bytes((1, int(value)))
     else:
@@ -123,7 +123,7 @@ def test_scalars_encode_to_the_grammar_and_keep_their_type(value):
     assert data == expected
     back = decode(data)
     assert back == value and type(back) is type(value)
-    # the same value inside a container goes through the generic path
+    # the same bytes, and the same type, inside a container
     assert encode([value]) == b"\x06\x00\x00\x00\x01" + expected
     assert type(decode(encode([value]))[0]) is type(value)
 
