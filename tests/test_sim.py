@@ -180,6 +180,57 @@ def _stalled(net):
     return {"a": main_a, "b": main_b}
 
 
+def _failing_runs():
+    """(message log, errors by endpoint) of seeded runs that end in a stall,
+    a blown step budget, a crash followed by a stall, or the negative
+    control."""
+    from choreo.errors import CommitmentFailed
+    from choreo.examples import build_example
+    from choreo.protocols.lottery import Tamper
+
+    def crash_then_stall(b, args):
+        def maybe_boom(loc, un):
+            if loc.name == "b":
+                raise CommitmentFailed("nope")
+            return 0
+
+        b.parallel(b.everyone(), maybe_boom)
+        v = b.locally(b.member("b"), lambda un: 1)
+        return b.multicast(b.member("b"), b.subset(["a"]), v)
+
+    tampered = build_example("lottery", tamper=Tamper("server2", "draw"))
+    broken = build_example("broken-pair")
+    for seed in (0, 1, 2):
+        net = SimNet(["a", "b"], seed=seed)
+        yield net.messages, net.run(_stalled(net))
+        net = SimNet(["a", "b"], seed=seed, step_budget=12)
+        yield net.messages, net.run(_ping_pong_mains(net, rounds=50))
+        for chor, census, args, inputs in (
+            (crash_then_stall, census_of(["a", "b", "c"]), None, None),
+            (tampered.choreography, tampered.census, tampered.args, tampered.inputs),
+            (broken.choreography, broken.census, broken.args, None),
+        ):
+            report = run_simulated(chor, census, args, seed=seed, inputs=inputs)
+            errors = {n: log.error for n, log in report.endpoints.items()}
+            yield report.messages, errors
+
+
+def test_failing_run_schedules_are_pinned():
+    # One digest over the message log and every endpoint's error of seeded
+    # runs that fail: the stall, step-budget and crash paths of the scheduler
+    # must keep their interleavings, not only the successful runs.
+    h = hashlib.sha256()
+    for messages, errors in _failing_runs():
+        for m in messages:
+            h.update(repr((m.sender, m.receiver, m.seq, m.t_send, m.t_deliver, m.t_recv)).encode())
+        for name in sorted(errors):
+            err = errors[name]
+            h.update(repr((name, type(err).__name__, str(err))).encode())
+    assert h.hexdigest() == (
+        "9f525ae43798991ebf5c549c801382bc5a0692c035b89fe2e68619f9b21d323c"
+    )
+
+
 @pytest.mark.parametrize("shape", ["clean", "stalled", "over-budget"])
 def test_run_leaves_no_threads_behind(shape):
     before = set(threading.enumerate())
