@@ -10,16 +10,18 @@ built, so any witness that exists is sound.
 
 Censuses are interned by their name tuple: `census_of` returns one shared
 `Census` per tuple, and a witness is validated once, the first time `member`
-or `subset` is asked for it, then kept frozen and handed out again.  So
-narrowing to a census a run has seen before builds no census or witness, and
-comparing two censuses is usually an identity check.  A `Census` built
-directly still equals the interned one with the same names.  The tables hold
-only immutable values and grow with the distinct censuses a program names.
+or `subset` is asked for it, then kept frozen and handed out again; `compose`
+and `member_witnesses` (the witnesses a loop hands its iterations) return
+those same witnesses.  So narrowing to or looping over a census a run has
+seen before builds no census or witness, and comparing two censuses is
+usually an identity check.  A `Census` built directly still equals the
+interned one with the same names.  The tables hold only immutable values and
+grow with the distinct censuses a program names.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -105,6 +107,8 @@ _CENSUSES: dict[tuple[str, ...], Census] = {(): EMPTY}
 # validated when first asked for
 _MEMBERS: dict[tuple[tuple[str, ...], str], MembershipWitness] = {}
 _SUBSETS: dict[tuple[tuple[str, ...], tuple[str, ...]], SubsetWitness] = {}
+# census names -> the membership witness of each member, in census order
+_LOOPS: dict[tuple[str, ...], tuple[MembershipWitness, ...]] = {}
 
 
 def census_of(names: Iterable[str]) -> Census:
@@ -130,12 +134,14 @@ def _interned(census: Census) -> Census:
 class MembershipWitness:
     """Proof that `location` sits at `index` of `census`.
 
-    Only `member` (and `compose`) construct these.
+    Only `member` constructs these.  `alone` is the census of `location`
+    alone, the owner set of a value computed there.
     """
 
     location: Location
     census: Census
     index: int
+    alone: Census = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -157,9 +163,21 @@ def member(name: str, census: Census) -> MembershipWitness:
     witness = _MEMBERS.get(key)
     if witness is None:
         index = census.position(name)
-        witness = MembershipWitness(census.members[index], _interned(census), index)
+        witness = MembershipWitness(
+            census.members[index], _interned(census), index, census_of((name,))
+        )
         witness = _MEMBERS.setdefault(key, witness)
     return witness
+
+
+def member_witnesses(census: Census) -> tuple[MembershipWitness, ...]:
+    """The membership witness of every member of `census`, in census order:
+    what a loop over the census hands each iteration."""
+    witnesses = _LOOPS.get(census._names)
+    if witnesses is None:
+        witnesses = tuple(member(loc.name, census) for loc in census.members)
+        witnesses = _LOOPS.setdefault(census._names, witnesses)
+    return witnesses
 
 
 def subset(sub: Census, sup: Census) -> SubsetWitness:
@@ -180,8 +198,8 @@ def subset(sub: Census, sup: Census) -> SubsetWitness:
 
 def compose(m: MembershipWitness, s: SubsetWitness) -> MembershipWitness:
     """From p in A and A subset-of B, derive p in B."""
-    if m.census != s.sub:
+    if m.census is not s.sub and m.census != s.sub:
         raise WitnessMismatchError(
             f"membership is over {m.census.names}, subset is from {s.sub.names}"
         )
-    return MembershipWitness(m.location, s.sup, s.index_map[m.index])
+    return member(m.location.name, s.sup)

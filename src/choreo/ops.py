@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from types import FunctionType
 from typing import Any, Callable, Iterable
 
 from .errors import (
@@ -65,6 +66,7 @@ from .locations import (
     census_of,
     compose,
     member,
+    member_witnesses,
     subset,
 )
 
@@ -184,7 +186,9 @@ class OperatorBundle(ABC):
         return subset(self._census, self._census)
 
     # Censuses are interned, so the identity test settles almost every check
-    # without a Python-level call to Census.__eq__, which `!=` would make.
+    # here and in the operator checks below without a Python-level call to
+    # Census.__eq__, which `!=` would make; `!=` still decides for a Census
+    # built directly.
 
     def _require_member(self, w: MembershipWitness) -> None:
         if not isinstance(w, MembershipWitness) or (
@@ -247,17 +251,18 @@ class OperatorBundle(ABC):
             self._require_subset(rs)
             if len(rs.sub) == 0:
                 raise EmptyCensusError("fanin needs at least one recipient")
-            recipients = rs.sub.names
+            recipients = rs.sub._names
         payloads = {}
-        for i, loc in enumerate(qs.sub.members):
-            ret = as_callable(per(MembershipWitness(loc, qs.sub, i)), self._census)(self)
-            owners = (loc.name,) if rs is None else recipients
-            if not isinstance(ret, MultiplyLocated) or ret._owners.names != owners:
+        for w in member_witnesses(qs.sub):
+            c = per(w)
+            ret = c(self) if type(c) is FunctionType else as_callable(c, self._census)(self)
+            owners = w.alone._names if rs is None else recipients
+            if not isinstance(ret, MultiplyLocated) or ret._owners._names != owners:
                 op = "fanout" if rs is None else "fanin"
                 raise ContractError(
                     f"{op} iteration must yield a value located exactly at {owners}"
                 )
-            payloads[loc.name] = ret._value
+            payloads[w.location.name] = ret._value
         return payloads
 
     def _check_flatten(self, outer: SubsetWitness, inner: SubsetWitness, v) -> None:
@@ -265,9 +270,9 @@ class OperatorBundle(ABC):
             raise ContractError("flatten takes a multiply-located value")
         if not (isinstance(outer, SubsetWitness) and isinstance(inner, SubsetWitness)):
             raise WitnessMismatchError("flatten takes subset witnesses")
-        if outer.sup != v.owners:
+        if outer.sup is not v._owners and outer.sup != v._owners:
             raise WitnessMismatchError("outer witness must target the value's owners")
-        if outer.sub != inner.sub:
+        if outer.sub is not inner.sub and outer.sub != inner.sub:
             raise WitnessMismatchError("flatten witnesses must share the narrowed set")
         if len(outer.sub) == 0:
             raise EmptyCensusError("cannot flatten to an empty owner set")
@@ -276,7 +281,7 @@ class OperatorBundle(ABC):
         """Checks flatten's payload where it is present; returns the inner one."""
         if not isinstance(payload, MultiplyLocated):
             raise ContractError("flatten needs a nested located value")
-        if inner.sup != payload.owners:
+        if inner.sup is not payload._owners and inner.sup != payload._owners:
             raise WitnessMismatchError("inner witness must target the nested owners")
         return payload._value
 
@@ -285,7 +290,7 @@ class OperatorBundle(ABC):
             raise ContractError("others_forget takes a multiply-located value")
         if not isinstance(t, SubsetWitness):
             raise WitnessMismatchError("others_forget takes a subset witness")
-        if t.sup != v.owners:
+        if t.sup is not v._owners and t.sup != v._owners:
             raise WitnessMismatchError("witness must target the value's owners")
         if len(t.sub) == 0:
             raise EmptyCensusError("cannot shrink ownership to the empty set")

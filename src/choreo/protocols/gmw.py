@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from typing import Any, Iterable
 
 from ..errors import (
@@ -220,6 +221,23 @@ def ot2(b: OperatorBundle, sender, receiver, pair, select):
     )
 
 
+@cache
+def _transfer_witnesses(names: tuple[str, ...]) -> dict[tuple[str, str], tuple]:
+    """For each ordered pair (i, j) of distinct census members: the enclave
+    witness of {i, j} in the census, and the outer and inner witnesses that
+    flatten the transfer's result down to j.  Built once per census; the
+    table is only read."""
+    census = census_of(names)
+    table = {}
+    for i in names:
+        for j in names:
+            if i != j:
+                two = subset(census_of([i, j]), census)
+                j_only = census_of([j])
+                table[(i, j)] = (two, subset(j_only, two.sub), subset(j_only, j_only))
+    return table
+
+
 def f_and(b: OperatorBundle, u: Faceted, v: Faceted) -> Faceted:
     """And-gate on xor-shared bits via pairwise oblivious transfer.
 
@@ -235,6 +253,7 @@ def f_and(b: OperatorBundle, u: Faceted, v: Faceted) -> Faceted:
     if not isinstance(v, Faceted) or v.owners != census:
         raise ContractError("right shares must be owned by the whole census")
     names = census.names
+    witnesses = _transfer_witnesses(names)
 
     mask_rows = b.parallel(
         b.everyone(),
@@ -247,26 +266,22 @@ def f_and(b: OperatorBundle, u: Faceted, v: Faceted) -> Faceted:
         def collect(bb: OperatorBundle):
             def per_sender(i_w):
                 i_name = i_w.location.name
+                if i_name == j_name:
+                    return lambda b2: b2.locally(j_w, lambda un: False)
+                two, outer, inner = witnesses[(i_name, j_name)]
 
                 def transfer(b2: OperatorBundle):
-                    if i_name == j_name:
-                        return b2.locally(j_w, lambda un: False)
-
                     def offer(un):
                         mask = un(mask_rows)[j_name]
                         return (mask, mask != bool(un(u)))
 
                     pair = b2.locally(i_w, offer)
                     choice = b2.locally(j_w, lambda un: bool(un(v)))
-                    two = b2.subset([i_name, j_name])
                     nested = b2.enclave(
                         two,
                         lambda b3: ot2(b3, b3.member(i_name), b3.member(j_name), pair, choice),
                     )
-                    j_only = census_of([j_name])
-                    return b2.flatten(
-                        subset(j_only, two.sub), subset(j_only, j_only), nested
-                    )
+                    return b2.flatten(outer, inner, nested)
 
                 return transfer
 

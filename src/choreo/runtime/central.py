@@ -15,7 +15,7 @@ from typing import Any
 
 from ..errors import ContractError, RunAborted
 from ..located import Faceted, MultiplyLocated, Quire
-from ..locations import Census, MembershipWitness, SubsetWitness, census_of
+from ..locations import Census, MembershipWitness, SubsetWitness
 from ..ops import OperatorBundle, Unwrapper, run_proc
 from ..portable import decode, encode
 from ..seeding import location_rng
@@ -77,7 +77,7 @@ class CentralBundle(OperatorBundle):
             raise
         except Exception as exc:
             raise _EndpointAbort(name, exc) from exc
-        return MultiplyLocated(census_of((name,)), value)
+        return MultiplyLocated(w.alone, value)
 
     def multicast(self, s: MembershipWitness, r: SubsetWitness, v) -> MultiplyLocated:
         sender = self._check_multicast(s, r, v)

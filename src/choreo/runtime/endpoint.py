@@ -26,7 +26,7 @@ from typing import Any
 
 from ..errors import WitnessMismatchError
 from ..located import ABSENT, Faceted, MultiplyLocated, Quire
-from ..locations import Census, Location, MembershipWitness, SubsetWitness, census_of
+from ..locations import Census, Location, MembershipWitness, SubsetWitness
 from ..ops import OperatorBundle, Unwrapper, run_proc
 from ..portable import decode, encode
 from ..seeding import location_rng
@@ -113,7 +113,7 @@ class EndpointBundle(OperatorBundle):
         self._require_member(w)
         name = w.location.name
         value = body(self._state.unwrapper) if name == self._state.self_name else ABSENT
-        return self._record(MultiplyLocated(census_of((name,)), value))
+        return self._record(MultiplyLocated(w.alone, value))
 
     def multicast(self, s: MembershipWitness, r: SubsetWitness, v) -> MultiplyLocated:
         sender = self._check_multicast(s, r, v)

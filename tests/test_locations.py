@@ -23,6 +23,7 @@ from choreo.errors import (
     NotASubsetError,
     WitnessMismatchError,
 )
+from choreo.locations import member_witnesses
 from choreo.protocols import gmw as G
 
 
@@ -166,3 +167,45 @@ def test_a_repeated_oracle_run_builds_no_census(monkeypatch):
     second = run()
     assert second.serialize() == first.serialize()
     assert built == []
+
+
+def test_compose_returns_the_interned_member_witness():
+    servers = census_of(["primary", "backup"])
+    participants = census_of(["client", "primary", "backup"])
+    into = subset(servers, participants)
+    for name in servers.names:
+        assert compose(member(name, servers), into) is member(name, participants)
+    assert compose(member("backup", servers), subset(servers, servers)) is member(
+        "backup", servers
+    )
+
+
+def test_loop_witnesses_are_shared_across_runs():
+    census = census_of(["p1", "p2", "p3"])
+    handed = []
+
+    def chor(b, args):
+        def per(w):
+            handed.append(w)
+            return lambda bb: bb.locally(w, lambda un: 0)
+
+        return b.fanout(b.everyone(), per)
+
+    run_centralized(chor, census).require_success()
+    run_centralized(chor, census).require_success()
+    assert tuple(handed[:3]) == member_witnesses(census)
+    assert all(a is b for a, b in zip(handed[:3], handed[3:]))
+    assert all(w is member(w.location.name, census) for w in handed)
+    assert member_witnesses(Census(census.members)) is member_witnesses(census)
+
+
+def test_a_warm_member_cache_still_rejects_a_non_member():
+    census = census_of(["alice", "bob"])
+    member("alice", census)
+    member_witnesses(census)
+    direct = Census((Location("alice"), Location("bob")))
+    for _ in range(2):
+        with pytest.raises(NotAMemberError, match="mallory"):
+            member("mallory", census)
+        with pytest.raises(NotAMemberError, match="mallory"):
+            member("mallory", direct)

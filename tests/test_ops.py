@@ -5,7 +5,9 @@ import pytest
 from conftest import run_agreeing
 
 from choreo import (
+    Census,
     Choreography,
+    Location,
     census_of,
     project_and_run,
     run_centralized,
@@ -20,7 +22,7 @@ from choreo.errors import (
     UnwrapAbsentError,
     WitnessMismatchError,
 )
-from choreo.located import Quire
+from choreo.located import MultiplyLocated, Quire
 
 PCH = census_of(["p", "q", "r"])
 
@@ -357,6 +359,28 @@ def test_flatten_and_others_forget():
     assert central.result_view("q") == {"located": ["q"], "value": 1}
     assert central.result_view("p") == {"located": ["q"], "value": "?absent"}
     assert central.result_view("r") == {"located": ["q"], "value": "?absent"}
+
+
+@RUNNERS
+def test_reshaping_accepts_a_census_built_directly(run):
+    # Interned censuses are compared by identity first; an owner set built
+    # directly as a Census with the same names must still pass through the
+    # equality fallback of flatten, others_forget and naked.
+    def direct(*names):
+        return Census(tuple(Location(n) for n in names))
+
+    def chor(b, args):
+        pq = direct("p", "q")
+        assert pq is not census_of(["p", "q"])
+        q_in_pq = subset(census_of(["q"]), census_of(["p", "q"]))
+        flat = b.flatten(q_in_pq, q_in_pq, MultiplyLocated(pq, MultiplyLocated(pq, 5)))
+        kept = b.others_forget(q_in_pq, MultiplyLocated(pq, 6))
+        bare = b.naked(MultiplyLocated(direct(*b.census.names), 7))
+        return b.locally(b.member("q"), lambda un: un(flat) + un(kept) + bare)
+
+    report = run(chor, PCH)
+    report.require_success()
+    assert report.result_view("q") == {"located": ["q"], "value": 18}
 
 
 @RUNNERS

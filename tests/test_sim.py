@@ -1,7 +1,8 @@
 """Deterministic simulator: FIFO, seeded determinism, observable reordering,
-stall and budget detection."""
+stall and budget detection, and scheduler faults."""
 
 import hashlib
+import sys
 import threading
 
 import pytest
@@ -247,3 +248,61 @@ def test_run_leaves_no_threads_behind(shape):
         errors = net.run(_ping_pong_mains(net, rounds=50))
         assert any(isinstance(e, StepBudgetExceeded) for e in errors.values())
     assert [t for t in threading.enumerate() if t not in before] == []
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+def test_scheduler_fault_reaches_run(k):
+    # A step that raises, here the k-th draw of the PRNG, must end the run
+    # with a TransportError and leave no task thread waiting for the baton.
+    before = set(threading.enumerate())
+    net = SimNet(["a", "b"], seed=5)
+    choice, calls = net._rng.choice, []
+
+    def faulty(seq):
+        calls.append(seq)
+        if len(calls) == k:
+            raise RuntimeError("injected scheduler fault")
+        return choice(seq)
+
+    net._rng.choice = faulty
+    outcome = []
+
+    def runner():
+        try:
+            outcome.append(net.run(_ping_pong_mains(net)))
+        except TransportError as exc:
+            outcome.append(exc)
+
+    thread = threading.Thread(target=runner, daemon=True)
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive(), "run() hung after a scheduler fault"
+    assert isinstance(outcome[0], TransportError)
+    assert isinstance(outcome[0].__cause__, RuntimeError)
+    assert [t for t in threading.enumerate() if t not in before] == []
+
+
+def test_handoff_holds_under_frequent_thread_switches():
+    # Eight task threads on fewer cores, with the interpreter switching
+    # threads every 10 µs: if a thread other than the baton holder ever ran a
+    # scheduler step, the seeded schedule would come out different.
+    ex, seed = list(_schedule_digest_inputs())[1]
+
+    def schedule():
+        report = run_simulated(ex.choreography, ex.census, ex.args, seed=seed, inputs=ex.inputs)
+        log = [(m.sender, m.receiver, m.seq, m.t_send, m.t_deliver, m.t_recv)
+               for m in report.messages]
+        return log, report.serialize()
+
+    expected = schedule()
+    interval = sys.getswitchinterval()
+    outcome = []
+    sys.setswitchinterval(1e-5)
+    try:
+        thread = threading.Thread(target=lambda: outcome.append(schedule()), daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive(), "the simulated run did not finish"
+    assert outcome == [expected]
