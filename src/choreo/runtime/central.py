@@ -5,7 +5,7 @@ canonical codec and append virtual message records, so message accounting and
 branch logs are identical to a projected run.  This interpreter is the oracle
 the simulated and TCP runs are compared against, and it records only what they
 are compared on.  Every member's view derives from one value held here, so
-per-member value records or events could never disagree: none are written.
+per-member value records could never disagree: none are written.
 """
 
 from __future__ import annotations
@@ -140,7 +140,11 @@ def run_centralized(
     """Run every endpoint's view of the choreography in one process.
 
     Failures are recorded per endpoint in the report rather than raised, so a
-    failing run can still be inspected.
+    failing run can still be inspected.  When a local body raises at X, X
+    ends with that error and every other endpoint with `RunAborted`.  This is
+    the conservative answer: one process cannot tell the endpoints that
+    depend on X from those that do not.  The simulator lets independent
+    endpoints finish.
     """
     proc = run_proc(c, census)
     state = _CentralState(census, seed, inputs or {})

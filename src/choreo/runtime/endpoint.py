@@ -8,15 +8,15 @@ is the sender, receives where it is a recipient, and enclaves it is outside
 of are skipped entirely.
 
 The value audit is opt-in.  With `audit=True` an endpoint also records one
-`ValueRecord` per located or faceted value it constructs, and a
-send/recv/enter/exit event trail.  A record is `present` exactly where the
-endpoint holds a payload other than `ABSENT` (for a faceted value, its own
-facet): it is read from what the endpoint holds, not from the owner set, so
-that `check_value_agreement` can find the two out of step.  That check, and
-through it `conformance.compare_runs`, read the records, so the runs
-compared with the oracle turn the audit on.  By default only the branch log
-and the message log are kept, which is all that `RunReport.serialize()`
-reads.
+`ValueRecord` per located or faceted value it constructs.  A record is
+`present` exactly where the endpoint holds a payload other than `ABSENT`
+(for a faceted value, its own facet): it is read from what the endpoint
+holds, not from the owner set, so that `check_value_agreement` can find the
+two out of step, and it flags a record made under a census the endpoint is
+not in.  That check, and through it `conformance.compare_runs`, read the
+records, so the runs compared with the oracle turn the audit on.  By default
+only the branch log and the message log are kept, which is all that
+`RunReport.serialize()` reads.
 """
 
 from __future__ import annotations
@@ -61,15 +61,11 @@ class EndpointState:
         self.sent.append(
             MessageRecord(self.self_name, to, len(data), seq, t_send=self.tick())
         )
-        if self.audit:
-            self.log.events.append(("send", to, len(data)))
         self.transport.send(to, data)
 
     def recv(self, frm: str) -> bytes:
         data = self.transport.recv(frm)
         self.tick()
-        if self.audit:
-            self.log.events.append(("recv", frm, len(data)))
         return data
 
 
@@ -135,14 +131,9 @@ class EndpointBundle(OperatorBundle):
 
     def enclave(self, s: SubsetWitness, c) -> MultiplyLocated:
         proc = self._check_enclave(s, c)
-        sig = s.sub.names
         value = ABSENT
         if self._state.self_name in s.sub:
-            if self._state.audit:
-                self._state.log.events.append(("enter", sig))
             value = proc(self._child(s.sub))
-            if self._state.audit:
-                self._state.log.events.append(("exit", sig))
         return self._record(MultiplyLocated(s.sub, value))
 
     def replicated(self, body) -> MultiplyLocated:
@@ -178,7 +169,7 @@ def run_endpoint(
     inputs: dict | None, log: EndpointLog, audit: bool = False,
 ) -> EndpointState:
     """Run `proc` as endpoint `name` and store its view of the result in `log`,
-    with the value audit and event trail too when `audit` is set."""
+    with the value audit too when `audit` is set."""
     log.audited = audit
     stream = deque((inputs or {}).get(name, []))
     state = EndpointState(name, transport, location_rng(seed, name), stream, log)
@@ -199,8 +190,8 @@ def project_and_run(
     """Run the choreography as one endpoint over a real transport.
 
     Returns this endpoint's view of the result and a single-endpoint report
-    fragment (its sends, branch log, and with `audit` its value audit and
-    event trail).  Protocol and transport errors propagate to the caller.
+    fragment (its sends, branch log, and with `audit` its value audit).
+    Protocol and transport errors propagate to the caller.
     """
     if self_name not in census:
         raise WitnessMismatchError(f"{self_name!r} is not in census {census.names}")

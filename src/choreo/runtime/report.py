@@ -55,17 +55,16 @@ class ValueRecord:
 class EndpointLog:
     """One endpoint's share of a run report.
 
-    `branches` is always recorded.  `events` (send/recv/enter/exit tuples)
-    and `values` (the value audit) are recorded only by a projected endpoint
-    whose run asked for them with `audit=True`, which sets `audited`; the
-    suites and tests that check values or events ask for it, and plain runs,
-    the CLI and the benchmark do not.  The centralized oracle never records
-    them: it computes one view for all members, which could not disagree.
+    `branches` is always recorded.  `values` (the value audit) is recorded
+    only by a projected endpoint whose run asked for it with `audit=True`,
+    which sets `audited`; the suites and tests that check values ask for it,
+    and plain runs, the CLI and the benchmark do not.  The centralized oracle
+    never records values: it computes one view for all members, which could
+    not disagree.  Messages are logged per run, not per endpoint.
     """
 
     name: str
     audited: bool = False
-    events: list[tuple] = field(default_factory=list)
     branches: list[BranchRecord] = field(default_factory=list)
     values: list[ValueRecord] = field(default_factory=list)
     result: Any = None
@@ -144,14 +143,16 @@ def check_fifo(report: RunReport) -> list[str]:
 
 def check_branch_agreement(report: RunReport) -> list[str]:
     """Knowledge-of-choice discipline: within every (possibly enclaved) census
-    that evaluated branch decisions, all members logged identical outcome
-    sequences."""
+    that evaluated branch decisions, exactly its members logged outcomes, and
+    they logged identical sequences."""
     problems = []
     per_sig: dict[tuple[str, ...], dict[str, list[bytes]]] = {}
     for name, log in report.endpoints.items():
         for rec in log.branches:
             per_sig.setdefault(rec.sig, {}).setdefault(name, []).append(rec.outcome)
     for sig, by_endpoint in sorted(per_sig.items()):
+        problems += [f"{n} logged branch outcomes for census {sig} it is not in"
+                     for n in by_endpoint if n not in sig]
         sequences = {tuple(seq) for seq in by_endpoint.values()}
         if len(sequences) > 1:
             problems.append(f"branch outcomes disagree within census {sig}")
@@ -162,8 +163,9 @@ def check_branch_agreement(report: RunReport) -> list[str]:
 
 
 def check_value_agreement(report: RunReport) -> list[str]:
-    """Every located or faceted value must be present exactly at its owners,
-    and a multiply-owned located value must have byte-identical canonical
+    """Every located or faceted value must be recorded only by members of the
+    census it was made under and be present exactly at its owners, and a
+    multiply-owned located value must have byte-identical canonical
     encodings at all of them.  Raises ValueError on a report that did not
     record the audit, which would otherwise pass without checking anything."""
     unaudited = [n for n, log in report.endpoints.items() if not log.audited]
@@ -180,6 +182,8 @@ def check_value_agreement(report: RunReport) -> list[str]:
     for (sig, seq, kind), entries in sorted(groups.items()):
         owners = entries[0][1].owners
         where = f"{kind} #{seq} under {sig}"
+        problems += [f"{where}: recorded at {n}, which is not in the census"
+                     for n, _ in entries if n not in sig]
         if any(rec.owners != owners for _, rec in entries):
             problems.append(f"{where}: endpoints disagree on the owner set")
             continue

@@ -26,9 +26,8 @@ def run_simulated(
     Per-endpoint failures (protocol errors, StepBudgetExceeded on stall or
     blown budget) are recorded in the report, not raised; call
     `report.require_success()` to turn them into exceptions.  With `audit`
-    every endpoint also records its value audit and event trail, which
-    `check_value_agreement` needs; without it only branches and messages are
-    kept.
+    every endpoint also records its value audit, which `check_value_agreement`
+    needs; without it only branches and messages are kept.
     """
     proc = run_proc(c, census)
     net = SimNet(census.names, seed=seed, step_budget=step_budget)

@@ -263,12 +263,10 @@ class SimNet:
         self._steps[name] += 1
         if self._steps[name] <= self._budget:
             return
-        exc = StepBudgetExceeded(
-            f"step budget of {self._budget} per endpoint exceeded at {name!r}"
-        )
+        text = f"step budget of {self._budget} per endpoint exceeded at {name!r}"
         for t in self._tasks.values():
             if t.state != "done" and t.abort is None:
-                t.abort = exc
+                t.abort = StepBudgetExceeded(text)  # one per task: a raise extends its traceback
                 if t.state == "blocked":
                     self._wake(t)
 

@@ -7,8 +7,8 @@ from choreo.conformance import compare_runs
 
 def run_agreeing(proc, census, args=None, seed=0, inputs=None):
     """Both modes must succeed and the simulated run must agree with the
-    oracle by `compare_runs`.  The simulated run records the value audit and
-    event trail, which callers may read."""
+    oracle by `compare_runs`, enclave containment included.  The simulated
+    run records the value audit, which callers may read."""
     central = run_centralized(proc, census, args, seed=seed, inputs=inputs)
     simulated = run_simulated(proc, census, args, seed=seed, inputs=inputs, audit=True)
     central.require_success()
@@ -16,15 +16,3 @@ def run_agreeing(proc, census, args=None, seed=0, inputs=None):
     assert compare_runs(central, simulated) == []
     return central, simulated
 
-
-def enclave_intervals(events, sig):
-    """Slices of an endpoint's event list between enter/exit of `sig`."""
-    intervals = []
-    start = None
-    for i, event in enumerate(events):
-        if event[0] == "enter" and event[1] == sig:
-            start = i
-        elif event[0] == "exit" and event[1] == sig and start is not None:
-            intervals.append(events[start + 1 : i])
-            start = None
-    return intervals

@@ -80,8 +80,8 @@ def test_projection_erasure_for_uninvolved_endpoint():
         _relay, THREE, "c", ExplodingTransport(), args=1, audit=True
     )
     assert result == {"located": ["b"], "value": "?absent"}
-    assert fragment.endpoints["c"].events == []
     assert [r.state for r in fragment.endpoints["c"].values] == ["absent"] * 3
+    assert check_value_agreement(fragment) == []
     assert fragment.messages == []
 
 
@@ -192,10 +192,10 @@ def test_audit_only_observes(name):
         for n in ex.census.names:
             assert plain.result_view(n) == audited.result_view(n)
             assert repr(plain.endpoints[n].error) == repr(audited.endpoints[n].error)
-            assert plain.endpoints[n].values == plain.endpoints[n].events == []
+            assert plain.endpoints[n].values == []
         if audited.ok:
             assert check_value_agreement(audited) == []
-            assert any(log.values and log.events for log in audited.endpoints.values())
+            assert any(log.values for log in audited.endpoints.values())
 
 
 AB = ("a", "b")
@@ -240,6 +240,11 @@ def _mlv(owners, state, payload):
         "b logged no branch outcomes for census ('a', 'b')",
         id="branch-member-logged-none"),
     pytest.param(
+        check_branch_agreement,
+        _report(branches={n: [BranchRecord(("a",), 0, b"\x01")] for n in AB}),
+        "b logged branch outcomes for census ('a',) it is not in",
+        id="branch-record-outside-its-census"),
+    pytest.param(
         check_value_agreement,
         _report(values={"a": [_mlv(("a",), "present", b"x")],
                         "b": [_mlv(AB, "present", b"x")]}),
@@ -269,6 +274,12 @@ def _mlv(owners, state, payload):
                         for n in AB}),
         "faceted #0 under ('a', 'b'): present at b, expected absent",
         id="value-facet-at-non-owner"),
+    pytest.param(
+        check_value_agreement,
+        _report(values={"a": [ValueRecord(("a",), 0, "mlv", ("a",), "present", b"x")],
+                        "b": [ValueRecord(("a",), 0, "mlv", ("a",), "absent", None)]}),
+        "mlv #0 under ('a',): recorded at b, which is not in the census",
+        id="value-record-outside-its-census"),
     pytest.param(
         partial(compare_runs, _report(results={"b": 1})),
         _report(results={"b": 2}),

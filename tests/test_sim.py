@@ -4,6 +4,7 @@ stall and budget detection, and scheduler faults."""
 import hashlib
 import sys
 import threading
+import traceback
 
 import pytest
 
@@ -105,6 +106,18 @@ def test_step_budget_trips():
 
     errors = net.run({"a": main_a, "b": main_b})
     assert any(isinstance(e, StepBudgetExceeded) for e in errors.values())
+
+
+def test_budget_error_is_raised_per_endpoint():
+    # every stuck endpoint gets its own error with the same text, so one
+    # endpoint's traceback never lists another endpoint's frames
+    net = SimNet(["a", "b"], seed=0, step_budget=4)
+    errors = net.run(_ping_pong_mains(net, rounds=50))
+    assert all(isinstance(e, StepBudgetExceeded) for e in errors.values())
+    assert errors["a"] is not errors["b"]
+    assert str(errors["a"]) == str(errors["b"])
+    frames = [f.f_code.co_name for f, _ in traceback.walk_tb(errors["a"].__traceback__)]
+    assert "main_a" in frames and "main_b" not in frames
 
 
 def test_unknown_routes_rejected():
