@@ -3,6 +3,7 @@ protocol run over real sockets."""
 
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -37,6 +38,10 @@ def test_envelope_rejects_bad_shapes():
         unpack_envelope(encode(["alice", 3]))
     with pytest.raises(DecodeError):
         unpack_envelope(encode("just text"))
+    with pytest.raises(DecodeError):
+        unpack_envelope(encode(["alice", True, "x"]))  # a bool is not a seq
+    with pytest.raises(DecodeError):
+        unpack_envelope(encode(["alice", 0, "\u0100"]))  # not latin-1 text
 
 
 def _socket_pair():
@@ -294,3 +299,151 @@ def test_recv_from_a_non_peer_fails_at_once():
         assert time.monotonic() - started < 0.25
     finally:
         ta.close()
+
+
+def _recv_fails_within(transport, peer, match, limit_s=0.25):
+    started = time.monotonic()
+    with pytest.raises(TransportError, match=match):
+        transport.recv(peer)
+    assert time.monotonic() - started < limit_s
+
+
+def test_a_closed_transport_fails_every_receive_at_once():
+    book = {n: f"127.0.0.1:{free_port()}" for n in ("a", "b", "c")}
+    ta = TcpTransport("a", book, recv_timeout=3)
+    tb = TcpTransport("b", book, recv_timeout=3)
+    try:
+        tb.send("a", b"x")
+        assert ta.recv("b") == b"x"
+        failures = []
+
+        def blocked(peer):
+            try:
+                ta.recv(peer)
+            except TransportError as exc:
+                failures.append((peer, str(exc), time.monotonic()))
+
+        # one receive blocked on a connected peer, one on a peer that never connects
+        waiters = [threading.Thread(target=blocked, args=(p,)) for p in ("b", "c")]
+        for t in waiters:
+            t.start()
+        time.sleep(0.2)
+        closed_at = time.monotonic()
+        ta.close()
+        for t in waiters:
+            t.join(timeout=1.0)
+        assert sorted(p for p, _, _ in failures) == ["b", "c"]
+        for _, text, failed_at in failures:
+            assert "transport of 'a' is closed" in text
+            assert failed_at - closed_at < 0.25
+        for peer in ("b", "c"):
+            _recv_fails_within(ta, peer, "transport of 'a' is closed")
+    finally:
+        ta.close()
+        tb.close()
+
+
+def test_a_timeout_mid_frame_keeps_the_bytes_read():
+    book = {"a": f"127.0.0.1:{free_port()}", "b": f"127.0.0.1:{free_port()}"}
+    tb = TcpTransport("b", book, recv_timeout=0.2)
+    try:
+        with socket.create_connection(("127.0.0.1", tb.port)) as raw:
+            write_frame(raw, pack_envelope("a", 0, b"first"))
+            assert tb.recv("a") == b"first"
+            payload = pack_envelope("a", 1, b"split across a timeout")
+            frame = struct.pack(">I", len(payload)) + payload
+            half = len(frame) // 2
+            raw.sendall(frame[:half])
+            with pytest.raises(TransportError, match="timed out"):
+                tb.recv("a")
+            raw.sendall(frame[half:])
+            write_frame(raw, pack_envelope("a", 2, b"next"))
+            assert tb.recv("a") == b"split across a timeout"
+            assert tb.recv("a") == b"next"
+    finally:
+        tb.close()
+
+
+def test_no_thread_per_connection_outlives_naming():
+    book = {"a": f"127.0.0.1:{free_port()}", "b": f"127.0.0.1:{free_port()}"}
+    before = set(threading.enumerate())
+    ta = TcpTransport("a", book, recv_timeout=5)
+    tb = TcpTransport("b", book, recv_timeout=5)
+    try:
+        for i in range(3):
+            ta.send("b", bytes([i]))
+            assert tb.recv("a") == bytes([i])
+            tb.send("a", bytes([i]))
+            assert ta.recv("b") == bytes([i])
+        acceptors = {ta._acceptor, tb._acceptor}
+        started = [t for t in threading.enumerate() if t not in before]
+        for t in started:
+            if t not in acceptors:
+                t.join(timeout=1.0)
+        assert {t for t in started if t.is_alive()} == acceptors
+    finally:
+        ta.close()
+        tb.close()
+
+
+def test_a_faulty_unnamed_connection_fails_frames_not_yet_received():
+    book = {n: f"127.0.0.1:{free_port()}" for n in ("a", "b", "c")}
+    ta = TcpTransport("a", book, recv_timeout=5)
+    tb = TcpTransport("b", book, recv_timeout=5)
+    try:
+        ta.send("b", b"delivered")
+        ta.send("b", b"arrived, not received")
+        assert tb.recv("a") == b"delivered"
+        with socket.create_connection(("127.0.0.1", tb.port)) as rogue:
+            write_frame(rogue, b"\xff\xff\xff")
+            _recv_fails_within(tb, "c", "receive from 'c' failed")  # the fault is seen
+            _recv_fails_within(tb, "a", "receive from 'a' failed")
+    finally:
+        ta.close()
+        tb.close()
+
+
+def test_a_second_connection_naming_a_sender_fails_its_receives():
+    book = {"a": f"127.0.0.1:{free_port()}", "b": f"127.0.0.1:{free_port()}"}
+    tb = TcpTransport("b", book, recv_timeout=5)
+    try:
+        with socket.create_connection(("127.0.0.1", tb.port)) as first:
+            write_frame(first, pack_envelope("a", 0, b"x"))
+            assert tb.recv("a") == b"x"
+            with socket.create_connection(("127.0.0.1", tb.port)) as second:
+                write_frame(second, pack_envelope("a", 1, b"y"))
+                _recv_fails_within(tb, "a", "a second connection from 'a'", limit_s=1.0)
+                _recv_fails_within(tb, "a", "a second connection from 'a'")
+    finally:
+        tb.close()
+
+
+def test_every_pair_stays_in_order_under_thread_contention():
+    names = ("a", "b", "c", "d")
+    book = {n: f"127.0.0.1:{free_port()}" for n in names}
+    transports = {n: TcpTransport(n, book, recv_timeout=10) for n in names}
+    count = 150
+    got = {}
+
+    def sender(frm, to):
+        for i in range(count):
+            transports[frm].send(to, f"{frm}{i}".encode())
+
+    def receiver(frm, to):
+        got[frm, to] = [transports[to].recv(frm).decode() for _ in range(count)]
+
+    pairs = [(x, y) for x in names for y in names if x != y]
+    threads = [threading.Thread(target=f, args=p) for p in pairs for f in (sender, receiver)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=20)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        for t in transports.values():
+            t.close()
+    assert got == {(x, y): [f"{x}{i}" for i in range(count)] for x, y in pairs}
