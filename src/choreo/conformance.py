@@ -48,6 +48,11 @@ class SuiteResult:
         return f"SUITE {self.name} {status} - {self.detail}"
 
 
+def _result(name: str, problems: list[str], detail: str) -> SuiteResult:
+    """Passed with `detail` when there are no problems, else failed with the first."""
+    return SuiteResult(name, not problems, problems[0] if problems else detail)
+
+
 def _equivalence_examples() -> list[ExampleRun]:
     return [
         build_example("kvs-broadcast", script=list(MIXED_SCRIPT)),
@@ -103,10 +108,8 @@ def suite_oracle_equivalence() -> SuiteResult:
             runs += 1
         if len(totals) != 1:
             problems.append(f"{ex.name}: message totals differ across seeds: {sorted(totals)}")
-    detail = f"{runs} paired runs equal the oracle; message totals seed-independent"
-    if problems:
-        detail = problems[0]
-    return SuiteResult("oracle-equivalence", not problems, detail)
+    return _result("oracle-equivalence", problems,
+                   f"{runs} paired runs equal the oracle; message totals seed-independent")
 
 
 def message_economy_counts(script) -> dict:
@@ -146,10 +149,7 @@ def suite_message_economy() -> SuiteResult:
             problems.append("client responses differ between variants")
         if b["responses"] != reference_responses(script):
             problems.append("responses differ from the reference model")
-    detail = "Get 4v3, Put 5v4, mixed delta = len(script)"
-    if problems:
-        detail = problems[0]
-    return SuiteResult("message-economy", not problems, detail)
+    return _result("message-economy", problems, "Get 4v3, Put 5v4, mixed delta = len(script)")
 
 
 def gmw_check(
@@ -284,11 +284,9 @@ def suite_lottery() -> SuiteResult:
         for name in server_names:
             if not isinstance(errors.get(name), CommitmentFailed):
                 problems.append(f"tamper at {tamperer}: {name} did not fail its commitment check")
-    detail = ("100 seeded runs select the predicted secret; openings wait for all "
-              "commitments; tamper at server1 or server3 fails every server")
-    if problems:
-        detail = problems[0]
-    return SuiteResult("lottery", not problems, detail)
+    return _result("lottery", problems,
+                   "100 seeded runs select the predicted secret; openings wait for all "
+                   "commitments; tamper at server1 or server3 fails every server")
 
 
 def suite_deadlock() -> SuiteResult:
@@ -307,10 +305,7 @@ def suite_deadlock() -> SuiteResult:
     flagged = [e for e in report.errors().values() if isinstance(e, StepBudgetExceeded)]
     if not flagged:
         problems.append("broken-pair was not flagged StepBudgetExceeded")
-    detail = f"{runs} runs completed; negative control flagged"
-    if problems:
-        detail = problems[0]
-    return SuiteResult("deadlock-budget", not problems, detail)
+    return _result("deadlock-budget", problems, f"{runs} runs completed; negative control flagged")
 
 
 def suite_negative_control() -> SuiteResult:

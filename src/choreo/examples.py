@@ -70,10 +70,6 @@ def _build_kvs_poly(script=None, backups=2, fail_backups=()) -> ExampleRun:
     return _kvs("kvs-poly", kvs_mod.kvs_poly, script, names, fail_backups=fail_backups)
 
 
-def _gmw_proc(b: OperatorBundle, circuit) -> bool:
-    return gmw_mod.mpc(b, circuit)
-
-
 def _build_gmw(circuit=DEFAULT_CIRCUIT, parties=None, inputs=None) -> ExampleRun:
     owners = gmw_mod.circuit_input_owners(circuit)
     if parties:
@@ -91,7 +87,7 @@ def _build_gmw(circuit=DEFAULT_CIRCUIT, parties=None, inputs=None) -> ExampleRun
         raise ConfigError(f"circuit uses parties outside the census: {missing}")
     return ExampleRun(
         name="gmw",
-        choreography=Choreography(_gmw_proc),
+        choreography=Choreography(gmw_mod.mpc),
         census=census_of(names),
         args=circuit,
         inputs={k: list(v) for k, v in inputs.items()},

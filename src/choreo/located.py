@@ -22,13 +22,6 @@ from .locations import Census, Location
 class _AbsentType:
     """Placeholder payload at endpoints that do not own a value."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self) -> str:
         return "Absent"
 

@@ -162,10 +162,15 @@ def as_callable(c: Any, expected_census: Census) -> Callable[["OperatorBundle"],
 
 
 class OperatorBundle(ABC):
-    """Injected operator set, closed over a census and an execution mode."""
+    """Injected operator set, closed over a census and an interpreter's
+    state; an enclave's bundle shares the state under the narrowed census."""
 
-    def __init__(self, census: Census):
+    def __init__(self, state, census: Census):
+        self._state = state
         self._census = census
+
+    def _child(self, census: Census) -> "OperatorBundle":
+        return type(self)(self._state, census)
 
     @property
     def census(self) -> Census:

@@ -35,7 +35,6 @@ class _EndpointAbort(Exception):
 
 class _CentralState:
     def __init__(self, census: Census, seed: int, inputs: dict):
-        self.clock = 0
         self.logs = {n: EndpointLog(n) for n in census.names}
         self.unwrappers = {
             n: Unwrapper(loc, location_rng(seed, n), deque(inputs.get(n, [])), None)
@@ -46,11 +45,6 @@ class _CentralState:
         self.seqs: dict[tuple[str, str], int] = {}
         self.messages: list[MessageRecord] = []
 
-    def tick(self) -> int:
-        t = self.clock
-        self.clock += 1
-        return t
-
     def next_seq(self, sender: str, receiver: str) -> int:
         seq = self.seqs.get((sender, receiver), 0)
         self.seqs[(sender, receiver)] = seq + 1
@@ -58,13 +52,6 @@ class _CentralState:
 
 
 class CentralBundle(OperatorBundle):
-    def __init__(self, state: _CentralState, census: Census):
-        super().__init__(census)
-        self._state = state
-
-    def _child(self, census: Census) -> "CentralBundle":
-        return CentralBundle(self._state, census)
-
     # -- core operators ----------------------------------------------------
 
     def locally(self, w: MembershipWitness, body) -> MultiplyLocated:
@@ -86,7 +73,7 @@ class CentralBundle(OperatorBundle):
         for q in r.sub.names:
             if q == sender:
                 continue
-            t = self._state.tick()
+            t = len(self._state.messages)  # the oracle's clock: one tick per message
             self._state.messages.append(
                 MessageRecord(sender, q, len(data), self._state.next_seq(sender, q),
                               t_send=t, t_deliver=t, t_recv=t)

@@ -70,13 +70,6 @@ class EndpointState:
 
 
 class EndpointBundle(OperatorBundle):
-    def __init__(self, state: EndpointState, census: Census):
-        super().__init__(census)
-        self._state = state
-
-    def _child(self, census: Census) -> "EndpointBundle":
-        return EndpointBundle(self._state, census)
-
     # -- recording ----------------------------------------------------------
 
     def _record(self, v: MultiplyLocated | Faceted):

@@ -64,10 +64,7 @@ def view_json(v: Any) -> str:
 
 def canonical_bytes(value: Any) -> bytes:
     """Deterministic bytes for a naked value, used for branch-outcome logs."""
-    try:
-        return encode(value)
-    except EncodeError:
-        return view_json(view(value, None)).encode("utf-8")
+    return try_encode(value) or view_json(view(value, None)).encode("utf-8")
 
 
 def try_encode(value: Any) -> bytes | None:

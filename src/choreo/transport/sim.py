@@ -54,21 +54,13 @@ def _baton() -> threading.Lock:
     return lock
 
 
-class _Envelope:
-    __slots__ = ("record", "body")
-
-    def __init__(self, record: MessageRecord, body: bytes):
-        self.record = record
-        self.body = body
-
-
 class _Task:
     __slots__ = ("name", "thread", "state", "blocked_on", "abort", "error", "baton")
 
     def __init__(self, name: str):
         self.name = name
         self.thread = None
-        self.state = "ready"  # ready | running | blocked | done
+        self.state = "ready"  # ready (to run, or running) | blocked | done
         self.blocked_on = None
         self.abort = None  # exception to raise at next activation
         self.error = None
@@ -133,7 +125,7 @@ class SimNet:
         self.messages.append(record)
         if not pending:
             insort(self._deliverable, pair)
-        pending.append(_Envelope(record, body))
+        pending.append((record, body))
 
     def _recv(self, receiver: str, frm: str) -> bytes:
         queue = self._arrived.get((frm, receiver))
@@ -149,9 +141,9 @@ class SimNet:
                 exc = task.abort
                 task.abort = None
                 raise exc
-        envelope = queue.popleft()
-        envelope.record.t_recv = self._tick()
-        return envelope.body
+        record, body = queue.popleft()
+        record.t_recv = self._tick()
+        return body
 
     # -- the scheduler (runs on whichever thread holds the baton) ----------
 
@@ -196,7 +188,6 @@ class SimNet:
         is resumed, unless it is the one chosen or has finished."""
         chosen = self._next()
         if chosen is holder:
-            holder.state = "running"
             return
         if chosen is None:
             self._finished.release()
@@ -204,7 +195,6 @@ class SimNet:
             chosen.baton.release()
         if holder is not None and holder.state != "done":
             holder.baton.acquire()
-            holder.state = "running"
 
     def _next(self) -> _Task | None:
         """The task the next steps resume, or None once none is alive.  After
@@ -246,7 +236,7 @@ class SimNet:
             envelope = pending.popleft()
             if not pending:
                 del deliverable[i - n_run]
-            envelope.record.t_deliver = self._tick()
+            envelope[0].t_deliver = self._tick()
             self._arrived[pair].append(envelope)
             s, r = pair
             task = self._tasks[r]
@@ -272,7 +262,6 @@ class SimNet:
 
     def _thread_main(self, task: _Task, main: Callable[[], None]) -> None:
         task.baton.acquire()
-        task.state = "running"
         if task.abort is not None:
             task.error = task.abort
             task.abort = None

@@ -20,7 +20,7 @@ connection, a short-lived namer that reads the first frame (leaving it in
 the buffer), registers the connection for the sender it names and ends.
 A silent connection thus holds up only its own namer.  `close()` wakes and
 joins every one of these threads, and fails every receive, pending or later,
-at once.
+and every later send at once.
 
 Every fault surfaces at once instead of after the receive timeout, and every
 fault is permanent.  Once a named sender's connection ends, or sends a bad
@@ -31,8 +31,10 @@ before naming its sender, or that names a location outside the address book,
 fails every receive from every peer that is pending or starts once the fault
 is seen, including frames of other peers that arrived but were not yet
 received: only frames that `recv` returned count as delivered.  A receive
-from a location outside the address book raises at once.  No retries, no
-TLS, no partial-failure tolerance.
+from a location outside the address book raises at once.  Set-up fails with
+TransportError, holding no socket, when a book entry's port is outside
+0-65535 or the own address cannot be bound.  No retries, no TLS, no
+partial-failure tolerance.
 """
 
 from __future__ import annotations
@@ -103,11 +105,10 @@ def _take_frame(buf: bytearray) -> bytes:
     return payload
 
 
-def _fill(sock: socket.socket, buf: bytearray, most: int, deadline: float | None = None) -> bool:
-    """Read until `buf` holds a whole frame, at most `most` bytes per call
-    (and never past that frame when `most` is 0).  With a deadline, each
-    call waits only until then, and TimeoutError leaves every byte read so
-    far in `buf`.  False on a clean end of stream with `buf` empty."""
+def _fill(sock: socket.socket, buf: bytearray, deadline: float | None = None) -> bool:
+    """Read until `buf` holds a whole frame.  With a deadline, each call
+    waits only until then, and TimeoutError leaves every byte read so far in
+    `buf`.  False on a clean end of stream with `buf` empty."""
     while len(buf) < (end := _frame_end(buf)):
         if deadline is not None:
             remaining = deadline - time.monotonic()
@@ -115,7 +116,7 @@ def _fill(sock: socket.socket, buf: bytearray, most: int, deadline: float | None
                 raise TimeoutError
             sock.settimeout(remaining)
         try:
-            chunk = sock.recv(max(most, end - len(buf)))
+            chunk = sock.recv(max(_CHUNK, end - len(buf)))
         except TimeoutError:
             raise  # not a fault of the connection
         except OSError as exc:
@@ -126,14 +127,6 @@ def _fill(sock: socket.socket, buf: bytearray, most: int, deadline: float | None
             raise TransportError("connection closed mid-frame")
         buf += chunk
     return True
-
-
-def read_frame(sock: socket.socket) -> bytes | None:
-    """Read one frame and nothing after it; None on clean end of stream."""
-    buf = bytearray()
-    if not _fill(sock, buf, 0):
-        return None
-    return _take_frame(buf)
 
 
 def _shut(sock: socket.socket) -> None:
@@ -148,10 +141,9 @@ def _parse_address(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
     if not sep or not host:
         raise TransportError(f"bad address {text!r}, expected host:port")
-    try:
-        return host, int(port)
-    except ValueError:
-        raise TransportError(f"bad port in address {text!r}") from None
+    if not port.isdecimal() or int(port) > 65535:
+        raise TransportError(f"bad port in address {text!r}")
+    return host, int(port)
 
 
 class _Inbound:
@@ -198,9 +190,13 @@ class TcpTransport:
 
         host, port = self._addresses[self_name]
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen()
+        try:
+            self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._listener.bind((host, port))
+            self._listener.listen()
+        except OSError as exc:
+            self._listener.close()
+            raise TransportError(f"cannot listen as {self_name!r} at {host}:{port}: {exc}") from exc
         self.port = self._listener.getsockname()[1]
         self._acceptor = threading.Thread(target=self._accept_loop, daemon=True)
         self._acceptor.start()
@@ -226,7 +222,7 @@ class TcpTransport:
         buf = bytearray()
         sender = fault = None
         try:
-            if _fill(conn, buf, _CHUNK):  # else closed before a byte: never a peer
+            if _fill(conn, buf):  # else closed before a byte: never a peer
                 sender = unpack_envelope(bytes(buf[4 : _frame_end(buf)]))[0]
                 if sender not in self._peers:
                     raise TransportError(f"frame from unknown sender {sender!r}")
@@ -246,16 +242,18 @@ class TcpTransport:
                 self._fail(peer, TransportError(f"a second connection from {sender!r}"))
         conn.close()
 
-    def _fail(self, peer: _Inbound, exc: BaseException, replace: bool = False) -> None:
-        """Make `exc` the peer's permanent fault, unless it has one and
-        `replace` is off, and wake its receive (call with `_cv` held)."""
-        if peer.error is None or replace:
+    def _fail(self, peer: _Inbound, exc: BaseException) -> None:
+        """Make `exc` the peer's permanent fault unless it has one, and wake
+        its receive (call with `_cv` held)."""
+        if peer.error is None:
             peer.error = exc
         self._cv.notify_all()
         if peer.sock is not None:
             _shut(peer.sock)
 
     def send(self, to: str, body: bytes) -> None:
+        if self._closed:
+            raise TransportError(f"the transport of {self.self_name!r} is closed")
         if to == self.self_name:
             raise TransportError("self-sends are elided by the operators, not the transport")
         if to not in self._addresses:
@@ -296,7 +294,7 @@ class TcpTransport:
                         ):
                             raise TimeoutError
                 if peer.error is None:
-                    if not _fill(peer.sock, peer.buf, _CHUNK, deadline):
+                    if not _fill(peer.sock, peer.buf, deadline):
                         raise TransportError(f"{frm!r} closed the connection")
                     sender, seq, body = unpack_envelope(_take_frame(peer.buf))
                     if sender != frm:
@@ -317,20 +315,21 @@ class TcpTransport:
     def close(self) -> None:
         """Close every socket and join every thread this transport started.
 
-        Every receive, pending or later, fails at once with "transport is
-        closed".  Closing a socket does not wake a thread blocked in
-        `accept()` or `recv()` on it; shutting it down first does.  So the
-        listener and each accepted connection are shut down, which ends the
-        acceptor, every namer and every blocked receive even while their
-        peers stay open.  Raises TransportError if one of those threads is
-        still alive afterwards.
+        Every receive, pending or later, and every later send fails at once
+        with "transport is closed".  Closing a socket does not wake a thread
+        blocked in `accept()` or `recv()` on it; shutting it down first does.
+        So the listener and each accepted connection are shut down, which
+        ends the acceptor, every namer and every blocked receive even while
+        their peers stay open.  Raises TransportError if one of those threads
+        is still alive afterwards.
         """
         with self._cv:
             if not self._closed:
                 self._closed = True  # from here on nothing joins _unnamed or _namers
                 closed = TransportError(f"the transport of {self.self_name!r} is closed")
                 for peer in self._peers.values():
-                    self._fail(peer, closed, replace=True)
+                    peer.error = closed  # replaces any earlier fault
+                    self._fail(peer, closed)
             for conn in self._unnamed:
                 _shut(conn)
         _shut(self._listener)

@@ -2,6 +2,7 @@
 example options it passes on."""
 
 import json
+import socket
 
 import pytest
 
@@ -122,6 +123,26 @@ def test_address_book_must_be_an_object(tmp_path, capsys):
     )
     assert status == 2 and "address book must look like" in err
 
+
+
+def test_endpoint_mode_on_a_taken_port_is_an_error_line(tmp_path, capsys):
+    holder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    holder.bind(("127.0.0.1", 0))
+    holder.listen()
+    taken = f"127.0.0.1:{holder.getsockname()[1]}"
+    names = ("client", "primary", "backup")
+    book = tmp_path / "net.json"
+    book.write_text(json.dumps({"locations": {n: taken for n in names}}))
+    try:
+        status, out, err = run_cli(
+            ["run", "--example", "kvs-enclave", "--mode", "endpoint",
+             "--role", "client", "--config", str(book)],
+            capsys,
+        )
+    finally:
+        holder.close()
+    assert status == 1 and out == ""
+    assert err.startswith("ERROR TransportError: cannot listen as 'client' at " + taken)
 
 @pytest.mark.parametrize("name", example_names())
 def test_examples_reject_options_they_do_not_take(name):

@@ -2,6 +2,7 @@
 per-endpoint randomness, report serialization, and the invariant checks
 catching real divergence."""
 
+import hashlib
 from functools import partial
 
 import pytest
@@ -9,7 +10,7 @@ from conftest import run_agreeing
 
 from choreo import census_of, project_and_run, run_centralized, run_simulated
 from choreo.errors import CommitmentFailed, StepBudgetExceeded, WitnessMismatchError
-from choreo.conformance import compare_runs
+from choreo.conformance import _equivalence_examples, compare_runs
 from choreo.examples import build_example, example_names
 from choreo.runtime import (
     BranchRecord,
@@ -146,6 +147,31 @@ def test_report_golden_file():
         "MSG primary client 9 4\n"
         "BRANCH primary primary+backup#0 050003000000016b\n"
         "BRANCH backup primary+backup#0 050003000000016b\n"
+    )
+
+
+def test_oracle_and_audited_runs_are_pinned():
+    # One digest over the centralized and the audited simulated runs of every
+    # equivalence example at seeds 0-3: the serialized report (the oracle's
+    # send stamps included), and per endpoint its result view, error type and
+    # value records.  A change to either interpreter that alters any of these
+    # changes this digest.
+    h = hashlib.sha256()
+    for ex in _equivalence_examples():
+        for seed in range(4):
+            for report in (
+                run_centralized(ex.choreography, ex.census, ex.args, seed=seed, inputs=ex.inputs),
+                run_simulated(ex.choreography, ex.census, ex.args, seed=seed,
+                              inputs=ex.inputs, audit=True),
+            ):
+                h.update(report.serialize().encode())
+                for name in ex.census.names:
+                    log = report.endpoints[name]
+                    h.update(repr((name, log.result, type(log.error).__name__)).encode())
+                    for r in log.values:
+                        h.update(repr((r.sig, r.seq, r.kind, r.owners, r.state, r.payload)).encode())
+    assert h.hexdigest() == (
+        "10dd825ca82be2f535556eecd1d1602ae32f17813c816331859d99a468135b3e"
     )
 
 

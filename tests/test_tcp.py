@@ -1,11 +1,13 @@
 """TCP transport: frame format, envelope codec, loopback delivery, and a full
 protocol run over real sockets."""
 
+import gc
 import socket
 import struct
 import sys
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -19,7 +21,6 @@ from choreo.transport import TcpTransport, free_port
 from choreo.transport.tcp import (
     FRAME_LIMIT,
     pack_envelope,
-    read_frame,
     unpack_envelope,
     write_frame,
 )
@@ -44,35 +45,28 @@ def test_envelope_rejects_bad_shapes():
         unpack_envelope(encode(["alice", 0, "\u0100"]))  # not latin-1 text
 
 
-def _socket_pair():
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.bind(("127.0.0.1", 0))
-    listener.listen(1)
-    client = socket.create_connection(listener.getsockname())
-    server, _ = listener.accept()
-    listener.close()
-    return client, server
-
-
 def test_frame_roundtrip_and_limit():
-    client, server = _socket_pair()
+    book = {"a": f"127.0.0.1:{free_port()}", "b": f"127.0.0.1:{free_port()}"}
+    tb = TcpTransport("b", book, recv_timeout=5)
     try:
-        write_frame(client, b"hello")
-        assert read_frame(server) == b"hello"
-        client.close()
-        assert read_frame(server) is None  # clean end of stream
+        with socket.create_connection(("127.0.0.1", tb.port)) as raw:
+            write_frame(raw, pack_envelope("a", 0, b"hello"))
+            assert tb.recv("a") == b"hello"
+        _recv_fails_within(tb, "a", "'a' closed the connection")  # clean end of stream
     finally:
-        server.close()
+        tb.close()
 
-    client, server = _socket_pair()
+    tb = TcpTransport("b", book, recv_timeout=5)
     try:
-        # an out-of-range length prefix is rejected before reading the body
-        client.sendall(struct.pack(">I", FRAME_LIMIT + 1))
-        with pytest.raises(DecodeError):
-            read_frame(server)
+        with socket.create_connection(("127.0.0.1", tb.port)) as raw:
+            write_frame(raw, pack_envelope("a", 0, b"hello"))
+            assert tb.recv("a") == b"hello"
+            # an out-of-range length prefix is rejected before reading the body
+            raw.sendall(struct.pack(">I", FRAME_LIMIT + 1))
+            failed = _recv_fails_within(tb, "a", "receive from 'a' failed")
+            assert isinstance(failed.__cause__, DecodeError)
     finally:
-        client.close()
-        server.close()
+        tb.close()
 
 
 def test_loopback_echo_byte_identical():
@@ -303,9 +297,10 @@ def test_recv_from_a_non_peer_fails_at_once():
 
 def _recv_fails_within(transport, peer, match, limit_s=0.25):
     started = time.monotonic()
-    with pytest.raises(TransportError, match=match):
+    with pytest.raises(TransportError, match=match) as failed:
         transport.recv(peer)
     assert time.monotonic() - started < limit_s
+    return failed.value
 
 
 def test_a_closed_transport_fails_every_receive_at_once():
@@ -447,3 +442,62 @@ def test_every_pair_stays_in_order_under_thread_contention():
         for t in transports.values():
             t.close()
     assert got == {(x, y): [f"{x}{i}" for i in range(count)] for x, y in pairs}
+
+
+def test_a_silent_unnamed_connection_does_not_hold_up_a_real_peer():
+    book = {"a": f"127.0.0.1:{free_port()}", "b": f"127.0.0.1:{free_port()}"}
+    ta = TcpTransport("a", book, recv_timeout=5)
+    tb = TcpTransport("b", book, recv_timeout=5)
+    try:
+        with socket.create_connection(("127.0.0.1", tb.port)):  # never sends a byte
+            time.sleep(0.05)
+            ta.send("b", b"x")
+            started = time.monotonic()
+            assert tb.recv("a") == b"x"
+            assert time.monotonic() - started < 1.0
+    finally:
+        ta.close()
+        tb.close()
+
+
+@pytest.mark.parametrize("own,peer,match", [
+    ("taken", None, "cannot listen as 'a' at 127.0.0.1:"),
+    ("127.0.0.1:70000", None, "bad port in address '127.0.0.1:70000'"),
+    (None, "127.0.0.1:70000", "bad port in address '127.0.0.1:70000'"),
+    ("192.0.2.1:5000", None, "cannot listen as 'a' at 192.0.2.1:5000"),
+], ids=["taken-port", "own-port-out-of-range", "peer-port-out-of-range", "address-not-local"])
+def test_set_up_errors_are_transport_errors_and_leak_no_socket(own, peer, match):
+    holder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)  # holds the taken port
+    holder.bind(("127.0.0.1", 0))
+    holder.listen()
+    taken = f"127.0.0.1:{holder.getsockname()[1]}"
+    book = {"a": taken if own == "taken" else own or f"127.0.0.1:{free_port()}",
+            "b": peer or f"127.0.0.1:{free_port()}"}
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TransportError, match=match):
+                TcpTransport("a", book)
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    finally:
+        holder.close()
+
+
+def test_send_on_a_closed_transport_fails_and_connects_nowhere():
+    book = {"a": f"127.0.0.1:{free_port()}", "b": f"127.0.0.1:{free_port()}"}
+    ta = TcpTransport("a", book, recv_timeout=5)
+    tb = TcpTransport("b", book, recv_timeout=0.2)
+    try:
+        ta.close()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TransportError, match="the transport of 'a' is closed"):
+                ta.send("b", b"x")
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert ta._out == {}
+        _recv_fails_within(tb, "a", "timed out", limit_s=1.0)
+    finally:
+        ta.close()
+        tb.close()
