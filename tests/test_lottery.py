@@ -1,12 +1,13 @@
 """Commitment lottery: field arithmetic, the commitment scheme, winner
 selection, opening order, and tamper detection."""
 
+import hashlib
 import random
 
 import pytest
 from conftest import run_agreeing
 
-from choreo import run_simulated
+from choreo import run_centralized, run_simulated
 from choreo.conformance import (
     expected_lottery_winner,
     lottery_commit_ordering_problems,
@@ -114,3 +115,38 @@ def test_tamper_fails_every_honest_server(which):
         assert isinstance(errors[name], CommitmentFailed), name
     # the analyst never hears back and is flagged as stalled
     assert isinstance(errors["analyst"], StepBudgetExceeded)
+
+
+def test_default_and_tampered_runs_are_pinned():
+    # One digest over the default 3-server, 4-client lottery at seeds 0-2,
+    # centralized and audited-simulated, and over salt and draw tampering at
+    # the first and the last server under both interpreters without the audit:
+    # every message with its three time stamps, the serialized report, and per
+    # endpoint its result view, error type, error text and value records.
+    runs = [(None, False)] + [
+        (Tamper(server, which), True)
+        for server in ("server1", "server3")
+        for which in ("salt", "draw")
+    ]
+    h = hashlib.sha256()
+    for tamper, plain in runs:
+        ex = build_example("lottery", tamper=tamper)
+        for seed in range(3):
+            for report in (
+                run_centralized(ex.choreography, ex.census, ex.args, seed=seed, inputs=ex.inputs),
+                run_simulated(ex.choreography, ex.census, ex.args, seed=seed,
+                              inputs=ex.inputs, audit=not plain),
+            ):
+                for m in report.messages:
+                    h.update(repr((m.sender, m.receiver, m.nbytes, m.seq,
+                                   m.t_send, m.t_deliver, m.t_recv)).encode())
+                h.update(report.serialize().encode())
+                for name in ex.census.names:
+                    log = report.endpoints[name]
+                    h.update(repr((name, report.result_view(name), type(log.error).__name__,
+                                   str(log.error))).encode())
+                    for r in log.values:
+                        h.update(repr((r.sig, r.seq, r.kind, r.owners, r.state, r.payload)).encode())
+    assert h.hexdigest() == (
+        "c059b74392dde2ee365123cba17681827945026e407645f1d384f4ee5e114e52"
+    )
