@@ -168,7 +168,9 @@ def _cmd_count_messages(ns) -> int:
 
 
 def _cmd_conformance(ns) -> int:
-    parties_counts = (ns.parties,) if ns.parties else (2, 3)
+    if ns.parties is not None and ns.parties < 1:
+        raise ConfigError("--parties must be >= 1")
+    parties_counts = (2, 3) if ns.parties is None else (ns.parties,)
     try:
         results = conformance.run_suites(ns.suite, parties_counts)
     except ValueError as exc:

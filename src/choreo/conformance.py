@@ -153,66 +153,52 @@ def suite_message_economy() -> SuiteResult:
 
 
 def gmw_check(
-    parties: tuple[str, ...],
-    circuits,
-    modes: tuple[str, ...] = ("centralized",),
-    seeds: tuple[int, ...] = (11,),
+    parties: tuple[str, ...], circuits, sim_seeds: tuple[int, ...] = ()
 ) -> tuple[int, list[str]]:
     """Compare shared evaluation against the plain oracle for every circuit
-    and every input assignment; returns (evaluations, problems)."""
+    and every input assignment, run centrally at seed 11 and then simulated
+    under each of `sim_seeds`; returns (evaluations, problems)."""
     census = census_of(parties)
     chor = Choreography(lambda b, circ: G.mpc(b, circ))
+    runs = [("centralized", 11, run_centralized)]
+    runs += [("simulate", s, run_simulated) for s in sim_seeds]
     problems = []
     evals = 0
     for circuit in circuits:
         for streams in G.input_assignments(circuit, parties):
             expected = G.eval_circuit(circuit, {p: deque(v) for p, v in streams.items()})
-            for mode in modes:
-                for s in seeds if mode == "simulate" else seeds[:1]:
-                    if mode == "centralized":
-                        report = run_centralized(chor, census, circuit, seed=s, inputs=streams)
-                    else:
-                        report = run_simulated(chor, census, circuit, seed=s, inputs=streams)
-                    report.require_success()
-                    evals += 1
-                    got = {report.result_view(p) for p in parties}
-                    if got != {expected}:
-                        problems.append(
-                            f"{G.circuit_to_text(circuit)} inputs {streams}: "
-                            f"{got} != {expected} ({mode}, seed {s})"
-                        )
+            for mode, s, run in runs:
+                report = run(chor, census, circuit, seed=s, inputs=streams)
+                report.require_success()
+                evals += 1
+                got = {report.result_view(p) for p in parties}
+                if got != {expected}:
+                    problems.append(
+                        f"{G.circuit_to_text(circuit)} inputs {streams}: "
+                        f"{got} != {expected} ({mode}, seed {s})"
+                    )
     return evals, problems
 
 
 def suite_gmw(parties_counts: tuple[int, ...] = (2, 3)) -> SuiteResult:
     """Shared circuit evaluation equals the plain oracle: exhaustively for
     gate-depth <= 2, on 40 seeded depth-3 samples, and on 3 sampled circuits
-    per depth 0-3 in simulated mode with 5 seeds."""
+    per depth 0-3 also simulated with 5 seeds."""
     problems = []
     evals = 0
     for n in parties_counts:
         parties = tuple(f"p{i}" for i in range(1, n + 1))
-        done, bad = gmw_check(parties, G.circuits_up_to(2, parties))
-        evals += done
-        problems += bad
-
-        rng = random.Random(1000 + n)
-        samples = [G.sample_circuit(3, parties, rng) for _ in range(40)]
-        done, bad = gmw_check(parties, samples)
-        evals += done
-        problems += bad
-
-        sim_rng = random.Random(2000 + n)
-        sim_circuits = [G.sample_circuit(d, parties, sim_rng) for d in (0, 1, 2, 3) for _ in range(3)]
-        done, bad = gmw_check(
-            parties, sim_circuits, modes=("centralized", "simulate"), seeds=tuple(range(5))
-        )
-        evals += done
-        problems += bad
-    detail = f"{evals} oracle comparisons"
-    if problems:
-        detail = f"{len(problems)} mismatches; first: {problems[0]}"
-    return SuiteResult("gmw", not problems, detail)
+        rng, sim_rng = random.Random(1000 + n), random.Random(2000 + n)
+        for circuits, sim_seeds in (
+            (G.circuits_up_to(2, parties), ()),
+            ([G.sample_circuit(3, parties, rng) for _ in range(40)], ()),
+            ([G.sample_circuit(d, parties, sim_rng) for d in (0, 1, 2, 3) for _ in range(3)],
+             tuple(range(5))),
+        ):
+            done, bad = gmw_check(parties, circuits, sim_seeds)
+            evals += done
+            problems += bad
+    return _result("gmw", problems, f"{evals} oracle comparisons")
 
 
 def expected_lottery_winner(seed: int, servers: tuple[str, ...], n_clients: int,

@@ -72,7 +72,9 @@ def _build_kvs_poly(script=None, backups=2, fail_backups=()) -> ExampleRun:
 
 def _build_gmw(circuit=DEFAULT_CIRCUIT, parties=None, inputs=None) -> ExampleRun:
     owners = gmw_mod.circuit_input_owners(circuit)
-    if parties:
+    if parties is not None:
+        if parties < 1:
+            raise ConfigError("--parties must be >= 1")
         names = [f"p{i}" for i in range(1, parties + 1)]
         _require_known("--inputs", inputs or (), names)
     else:

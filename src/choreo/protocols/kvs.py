@@ -191,8 +191,7 @@ def _kvs_enclaved(b: OperatorBundle, args: KvsArgs, error_handling: bool):
                         eb.member("backup"),
                         lambda un: handle_put(un(backup_store), req.key, req.value, fail),
                     )
-                    return (req_w, eb.naked(eb.multicast(eb.member("backup"),
-                                                         eb.everyone(), status)))
+                    return (req_w, eb.broadcast(eb.member("backup"), status))
                 return (req_w, 0)
 
             # (request, status) owned by both servers: the knowledge persists.

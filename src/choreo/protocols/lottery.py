@@ -9,6 +9,10 @@ the client count, and the servers forward that client's shares to the analyst,
 who reconstructs the one chosen secret.  The commitment round is what stops
 the last server from steering the index: by the time anyone opens, every draw
 is pinned down.
+
+The three openings are `gather` rounds among the servers, and the forward is
+a `gather` from the servers to the analyst.  The `Tamper` test hook perturbs
+one server's value in a local step before the round that opens it.
 """
 
 from __future__ import annotations
@@ -48,10 +52,7 @@ def verify(commitment: bytes, draw: int, salt: int) -> bool:
 
 def winning_index(draws, n_clients: int) -> int:
     """Field-sum the servers' draws, then reduce modulo the client count."""
-    total = 0
-    for value in draws:
-        total = field_add(total, value % FIELD_MODULUS)
-    return total % n_clients
+    return sum(draws) % FIELD_MODULUS % n_clients
 
 
 @dataclass(frozen=True)
@@ -96,10 +97,7 @@ def lottery(
     # Clients split their secrets additively; the last share makes the sum.
     def split(loc, un):
         free = [field_rand(un.rng) for _ in range(len(server_names) - 1)]
-        total = 0
-        for f in free:
-            total = field_add(total, f)
-        last = field_sub(un(secrets) % FIELD_MODULUS, total)
+        last = field_sub(un(secrets) % FIELD_MODULUS, sum(free))
         return dict(zip(server_names, [*free, last]))
 
     share_maps = b.parallel(clients_sub, split)
@@ -131,13 +129,11 @@ def lottery(
     )
 
     # All commitments circulate before anyone opens anything.
-    opened_commitments = _open_round(b, servers_sub, commitments, None)
-    opened_salts = _open_round(
-        b, servers_sub, salts, tamper if tamper and tamper.field == "salt" else None
-    )
-    opened_draws = _open_round(
-        b, servers_sub, draws, tamper if tamper and tamper.field == "draw" else None
-    )
+    opened_commitments = b.gather(servers_sub, servers_sub, commitments)
+    salts = _tampered(b, servers_sub, salts, tamper, "salt")
+    opened_salts = b.gather(servers_sub, servers_sub, salts)
+    draws = _tampered(b, servers_sub, draws, tamper, "draw")
+    opened_draws = b.gather(servers_sub, servers_sub, draws)
 
     def check(loc, un):
         published = un(opened_commitments)
@@ -157,43 +153,18 @@ def lottery(
         servers_sub, lambda loc, un: un(held_shares).values()[un(winner)]
     )
 
-    def per_server_forward(s_in_servers):
-        s = compose(s_in_servers, servers_sub)
-
-        def forward(bb: OperatorBundle):
-            share = bb.locally(s, lambda un: un(chosen))
-            return bb.multicast(s, bb.subset([analyst]), share)
-
-        return forward
-
-    winner_shares = b.fanin(servers_sub, b.subset([analyst]), per_server_forward)
-
-    def reconstruct(un):
-        total = 0
-        for value in un(winner_shares).values():
-            total = field_add(total, value)
-        return total
-
-    return b.locally(b.member(analyst), reconstruct)
+    winner_shares = b.gather(servers_sub, b.subset([analyst]), chosen)
+    return b.locally(
+        b.member(analyst), lambda un: sum(un(winner_shares).values()) % FIELD_MODULUS
+    )
 
 
-def _open_round(b: OperatorBundle, servers_sub, values: Faceted, tamper: Tamper | None):
-    """One all-to-all opening round among the servers."""
-
-    def per(s_in_servers):
-        s = compose(s_in_servers, servers_sub)
-        s_name = s.location.name
-
-        def publish(bb: OperatorBundle):
-            def read(un):
-                value = un(values)
-                if tamper is not None and tamper.server == s_name:
-                    value = value + 1  # no longer matches the commitment
-                return value
-
-            own = bb.locally(s, read)
-            return bb.multicast(s, servers_sub, own)
-
-        return publish
-
-    return b.fanin(servers_sub, servers_sub, per)
+def _tampered(b: OperatorBundle, servers_sub, values: Faceted, tamper: Tamper | None,
+              field: str) -> Faceted:
+    """`values` with the tampering server's own value one off, when `tamper`
+    targets `field`; otherwise `values` itself, and no operator runs."""
+    if tamper is None or tamper.field != field:
+        return values
+    return b.parallel(
+        servers_sub, lambda loc, un: un(values) + int(loc.name == tamper.server)
+    )

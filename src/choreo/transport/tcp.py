@@ -9,7 +9,8 @@ One TCP connection per ordered (sender -> receiver) pair, established lazily
 by the sender; the receiver learns the sender's identity from the first
 envelope, inheriting per-pair FIFO from the stream.  `seq` is verified as
 each frame is received, so a gap or duplicate surfaces as TransportError
-instead of silent corruption.
+instead of silent corruption.  A send blocked by a receiver that is not
+reading waits up to the receive timeout, then raises TransportError.
 
 Receive path and threads: `recv(frm)` reads frames straight from `frm`'s
 connection on the caller's thread.  Bytes read but not yet delivered stay in
@@ -274,7 +275,9 @@ class TcpTransport:
         deadline = time.monotonic() + self._connect_timeout
         while True:
             try:
-                return socket.create_connection((host, port), timeout=2.0)
+                sock = socket.create_connection((host, port), timeout=2.0)
+                sock.settimeout(self._recv_timeout)
+                return sock
             except OSError as exc:
                 if time.monotonic() >= deadline:
                     raise TransportError(f"cannot connect to {to!r} at {host}:{port}: {exc}") from exc

@@ -161,9 +161,15 @@ def test_examples_reject_options_they_do_not_take(name):
     ["run", "--example", "gmw", "--parties", "2", "--inputs", "p1=1,p2=0,p7=1"],
     ["run", "--example", "kvs-poly", "--backups", "2", "--fail-backups", "backup9"],
     ["run", "--example", "lottery", "--tamper", "server9:draw"],
+    ["run", "--example", "gmw", "--parties", "0"],
+    ["run", "--example", "gmw", "--parties", "-1"],
+    ["conformance", "--suite", "gmw", "--parties", "0"],
+    ["conformance", "--suite", "gmw", "--parties", "-1"],
 ], ids=["unused-fail-puts", "unused-backups", "unused-inputs",
         "missing-script-run", "missing-script-count", "unknown-lottery-client",
-        "unknown-gmw-party", "unknown-kvs-backup", "unknown-tamper-server"])
+        "unknown-gmw-party", "unknown-kvs-backup", "unknown-tamper-server",
+        "gmw-zero-parties", "gmw-negative-parties", "conformance-zero-parties",
+        "conformance-negative-parties"])
 def test_unused_flags_and_unreadable_files_are_config_errors(argv, tmp_path, capsys):
     missing = str(tmp_path / "missing.txt")
     status, out, err = run_cli([missing if a == "MISSING" else a for a in argv], capsys)

@@ -107,6 +107,38 @@ def test_fifo_per_sender():
         tb.close()
 
 
+def test_a_send_waits_out_back_pressure_up_to_the_receive_timeout():
+    # A 16 MiB frame overfills the loopback buffers, so the send blocks until
+    # the receiver starts reading 3 s later; the connect's own 2 s bound must
+    # not carry over to the send.
+    book = {"a": f"127.0.0.1:{free_port()}", "b": f"127.0.0.1:{free_port()}"}
+    ta = TcpTransport("a", book, recv_timeout=5)
+    tb = TcpTransport("b", book, recv_timeout=5)
+    big = bytes(16 * 1024 * 1024)
+    failures = []
+
+    def send_both():
+        try:
+            ta.send("b", b"first")
+            ta.send("b", big)
+        except TransportError as exc:
+            failures.append(exc)
+
+    sender = threading.Thread(target=send_both)
+    try:
+        sender.start()
+        time.sleep(3.0)
+        assert failures == []  # still blocked, not timed out
+        assert tb.recv("a") == b"first"
+        assert tb.recv("a") == big
+        sender.join(timeout=10)
+        assert failures == []
+    finally:
+        ta.close()
+        tb.close()
+        sender.join(timeout=10)
+
+
 def _run_over_tcp(ex, seed, audit=False):
     """Every endpoint of `ex` in its own thread over loopback TCP; returns
     one report merged from the endpoints' fragments."""
