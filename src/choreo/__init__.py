@@ -28,6 +28,7 @@ from .runtime import (
     check_value_agreement,
     project_and_run,
     run_centralized,
+    run_over_tcp,
     run_simulated,
 )
 from .transport import SimNet, TcpTransport
@@ -62,6 +63,7 @@ __all__ = [
     "member",
     "project_and_run",
     "run_centralized",
+    "run_over_tcp",
     "run_simulated",
     "subset",
 ]

@@ -20,7 +20,9 @@ from .examples import ExampleRun, build_example, example_names
 from .protocols.gmw import parse_circuit
 from .protocols.kvs import parse_script
 from .protocols.lottery import Tamper
-from .runtime import project_and_run, run_centralized, run_simulated
+from .ops import run_proc
+from .runtime import EndpointLog, RunReport, run_centralized, run_simulated
+from .runtime.endpoint import run_endpoint
 from .runtime.views import view_json
 from .transport import TcpTransport
 
@@ -100,53 +102,44 @@ def _load_address_book(path: str, census_names) -> dict[str, str]:
 
 def _write_report(path: str | None, report) -> None:
     if path:
-        Path(path).write_text(report.serialize())
+        try:
+            Path(path).write_text(report.serialize())
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path!r}: {exc}") from exc
 
 
 def _cmd_run(ns) -> int:
     ex = _load_example(ns)
-    if ns.mode in ("centralized", "simulate"):
-        if ns.mode == "centralized":
-            report = run_centralized(
-                ex.choreography, ex.census, ex.args, seed=ns.seed, inputs=ex.inputs
-            )
-        else:
-            report = run_simulated(
-                ex.choreography, ex.census, ex.args, seed=ns.seed,
-                inputs=ex.inputs, step_budget=ns.step_budget,
-            )
-        status = 0
-        for name in ex.census.names:
-            err = report.endpoints[name].error
-            if err is not None:
-                print(f"ERROR {name} {type(err).__name__}: {err}")
-                status = 1
-            else:
-                print(f"RESULT {name} {view_json(report.result_view(name))}")
-        _write_report(ns.report, report)
-        return status
-    # endpoint mode: exactly one endpoint per OS process
-    if not ns.role:
-        raise ConfigError("endpoint mode needs --role")
-    if not ns.config:
-        raise ConfigError("endpoint mode needs --config with the address book")
-    if ns.role not in ex.census.names:
-        raise ConfigError(f"--role {ns.role!r} is not in census {list(ex.census.names)}")
-    book = _load_address_book(ns.config, ex.census.names)
-    transport = TcpTransport(ns.role, book, recv_timeout=ns.recv_timeout)
-    try:
-        result, report = project_and_run(
-            ex.choreography, ex.census, ns.role, transport,
-            ex.args, seed=ns.seed, inputs=ex.inputs,
+    if ns.mode == "centralized":
+        report = run_centralized(
+            ex.choreography, ex.census, ex.args, seed=ns.seed, inputs=ex.inputs
         )
-    except ChoreoError as exc:
-        print(f"ERROR {ns.role} {type(exc).__name__}: {exc}")
-        return 1
-    finally:
+    elif ns.mode == "simulate":
+        report = run_simulated(
+            ex.choreography, ex.census, ex.args, seed=ns.seed,
+            inputs=ex.inputs, step_budget=ns.step_budget,
+        )
+    else:  # exactly one endpoint per OS process; the report is its fragment
+        if not ns.role:
+            raise ConfigError("endpoint mode needs --role")
+        if not ns.config:
+            raise ConfigError("endpoint mode needs --config with the address book")
+        if ns.role not in ex.census.names:
+            raise ConfigError(f"--role {ns.role!r} is not in census {list(ex.census.names)}")
+        book = _load_address_book(ns.config, ex.census.names)
+        proc = run_proc(ex.choreography, ex.census)
+        transport = TcpTransport(ns.role, book, recv_timeout=ns.recv_timeout)
+        log = EndpointLog(ns.role)
+        sent = run_endpoint(proc, ex.census, ns.role, transport, ex.args, ns.seed, ex.inputs, log)
         transport.close()
-    print(f"RESULT {ns.role} {view_json(result)}")
+        report = RunReport(ex.census.names, {ns.role: log}, sent)
     _write_report(ns.report, report)
-    return 0
+    for log in report.endpoints.values():
+        if log.error is not None:
+            print(f"ERROR {log.name} {type(log.error).__name__}: {log.error}")
+        else:
+            print(f"RESULT {log.name} {view_json(log.result)}")
+    return 0 if report.ok else 1
 
 
 def _cmd_count_messages(ns) -> int:
@@ -156,11 +149,7 @@ def _cmd_count_messages(ns) -> int:
     options = {"script": parse_script(_read(ns.script))} if ns.script else {}
     counts = {}
     for name in (first, second):
-        ex = build_example(name, **options)
-        report = run_simulated(
-            ex.choreography, ex.census, ex.args, seed=ns.seed, inputs=ex.inputs
-        )
-        report.require_success()
+        report = conformance.simulate_example(name, ns.seed, **options).require_success()
         counts[name] = len(report.messages)
         print(f"MESSAGES {name} {counts[name]}")
     print(f"DELTA {counts[first] - counts[second]}")

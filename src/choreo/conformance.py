@@ -6,7 +6,7 @@ the same suites and assert that they pass, so each criterion is checked here
 and nowhere else.
 
 `compare_runs` is the one statement of a projected run's agreement with the
-oracle, for simulated runs and for the merged fragments of a run over TCP.
+oracle, for simulated runs and for runs over TCP.
 The runs it reads, and the lottery suite's, record the value audit
 (`audit=True`); the other suites, `gmw_check` included, leave it off.
 """
@@ -112,18 +112,10 @@ def suite_oracle_equivalence() -> SuiteResult:
                    f"{runs} paired runs equal the oracle; message totals seed-independent")
 
 
-def message_economy_counts(script) -> dict:
-    """Counts and responses for the broadcast-vs-enclave pair on one script."""
-    out = {}
-    for name in ("kvs-broadcast", "kvs-enclave"):
-        ex = build_example(name, script=list(script))
-        report = run_simulated(ex.choreography, ex.census, ex.args, inputs=ex.inputs)
-        report.require_success()
-        out[name] = {
-            "messages": len(report.messages),
-            "responses": report.result_view("client")["map"][0][1]["value"],
-        }
-    return out
+def simulate_example(name: str, seed: int = 0, **options) -> RunReport:
+    """Build example `name` from `options` and run it over the simulator."""
+    ex = build_example(name, **options)
+    return run_simulated(ex.choreography, ex.census, ex.args, seed=seed, inputs=ex.inputs)
 
 
 def suite_message_economy() -> SuiteResult:
@@ -135,19 +127,19 @@ def suite_message_economy() -> SuiteResult:
         ([Put("k", 5)], 5, 4),
         (list(MIXED_SCRIPT), None, None),
     ):
-        counts = message_economy_counts(script)
-        b, e = counts["kvs-broadcast"], counts["kvs-enclave"]
-        if expect_broadcast is not None and b["messages"] != expect_broadcast:
-            problems.append(f"broadcast count {b['messages']} != {expect_broadcast}")
-        if expect_enclave is not None and e["messages"] != expect_enclave:
-            problems.append(f"enclave count {e['messages']} != {expect_enclave}")
-        if b["messages"] - e["messages"] != len(script):
-            problems.append(
-                f"delta {b['messages'] - e['messages']} != one per request ({len(script)})"
-            )
-        if b["responses"] != e["responses"]:
+        reports = [simulate_example(name, script=list(script)).require_success()
+                   for name in ("kvs-broadcast", "kvs-enclave")]
+        b, e = (len(report.messages) for report in reports)
+        responses = [report.result_view("client")["map"][0][1]["value"] for report in reports]
+        if expect_broadcast is not None and b != expect_broadcast:
+            problems.append(f"broadcast count {b} != {expect_broadcast}")
+        if expect_enclave is not None and e != expect_enclave:
+            problems.append(f"enclave count {e} != {expect_enclave}")
+        if b - e != len(script):
+            problems.append(f"delta {b - e} != one per request ({len(script)})")
+        if responses[0] != responses[1]:
             problems.append("client responses differ between variants")
-        if b["responses"] != reference_responses(script):
+        if responses[0] != reference_responses(script):
             problems.append("responses differ from the reference model")
     return _result("message-economy", problems, "Get 4v3, Put 5v4, mixed delta = len(script)")
 
@@ -263,9 +255,8 @@ def suite_lottery() -> SuiteResult:
         problems += [f"seed {seed}: {p}" for p in check_value_agreement(report)]
 
     for tamperer, seed in (("server1", 7), ("server3", 5)):
-        ex = build_example("lottery", servers=3, clients=4, tamper=Tamper(tamperer, "draw"))
-        errors = run_simulated(
-            ex.choreography, ex.census, ex.args, seed=seed, inputs=ex.inputs
+        errors = simulate_example(
+            "lottery", seed, servers=3, clients=4, tamper=Tamper(tamperer, "draw")
         ).errors()
         for name in server_names:
             if not isinstance(errors.get(name), CommitmentFailed):
@@ -286,9 +277,8 @@ def suite_deadlock() -> SuiteResult:
             if not report.ok:
                 problems.append(f"{ex.name} seed {seed}: {report.errors()}")
             runs += 1
-    broken = build_example("broken-pair")
-    report = run_simulated(broken.choreography, broken.census, broken.args, seed=0)
-    flagged = [e for e in report.errors().values() if isinstance(e, StepBudgetExceeded)]
+    errors = simulate_example("broken-pair").errors()
+    flagged = [e for e in errors.values() if isinstance(e, StepBudgetExceeded)]
     if not flagged:
         problems.append("broken-pair was not flagged StepBudgetExceeded")
     return _result("deadlock-budget", problems, f"{runs} runs completed; negative control flagged")
@@ -297,9 +287,7 @@ def suite_deadlock() -> SuiteResult:
 def suite_negative_control() -> SuiteResult:
     """Runs the broken choreography and reports its failure; this suite is
     expected to FAIL (nonzero exit) by design."""
-    broken = build_example("broken-pair")
-    report = run_simulated(broken.choreography, broken.census, broken.args, seed=0)
-    errors = {n: type(e).__name__ for n, e in report.errors().items()}
+    errors = {n: type(e).__name__ for n, e in simulate_example("broken-pair").errors().items()}
     return SuiteResult("negative-control", False, f"flagged as designed: {errors}")
 
 

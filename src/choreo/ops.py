@@ -39,6 +39,10 @@ Global semantics, in one place:
                               recipients, who assemble a quire in qs order.
 - flatten / others_forget     un-nest a located-located value / shrink an owner
                               set; never communicate.
+
+A body may change only state that belongs to its own location: the simulator
+and `run_over_tcp` hand every endpoint the same `args` object, so a change one
+body makes to it is seen by the others, as separate processes would not be.
 """
 
 from __future__ import annotations

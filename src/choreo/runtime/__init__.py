@@ -11,7 +11,7 @@ from .report import (
     check_fifo,
     check_value_agreement,
 )
-from .simulate import run_simulated
+from .simulate import run_over_tcp, run_simulated
 from .views import view, view_json
 
 __all__ = [
@@ -20,6 +20,7 @@ __all__ = [
     "run_centralized",
     "project_and_run",
     "run_simulated",
+    "run_over_tcp",
     "RunReport",
     "EndpointLog",
     "BranchRecord",

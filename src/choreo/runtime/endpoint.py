@@ -160,14 +160,18 @@ class EndpointBundle(OperatorBundle):
 def run_endpoint(
     proc, census: Census, name: str, transport: Transport, args: Any, seed: int,
     inputs: dict | None, log: EndpointLog, audit: bool = False,
-) -> EndpointState:
-    """Run `proc` as endpoint `name` and store its view of the result in `log`,
-    with the value audit too when `audit` is set."""
+) -> list[MessageRecord]:
+    """Run `proc` as endpoint `name` and store in `log` its view of the result,
+    or the exception it ended with, and with `audit` its value audit too.
+    Returns its sends, a failed endpoint's included."""
     log.audited = audit
     stream = deque((inputs or {}).get(name, []))
     state = EndpointState(name, transport, location_rng(seed, name), stream, log)
-    log.result = view(proc(EndpointBundle(state, census), args), name)
-    return state
+    try:
+        log.result = view(proc(EndpointBundle(state, census), args), name)
+    except BaseException as exc:  # the outcome is data; project_and_run re-raises it
+        log.error = exc
+    return state.sent
 
 
 def project_and_run(
@@ -184,12 +188,12 @@ def project_and_run(
 
     Returns this endpoint's view of the result and a single-endpoint report
     fragment (its sends, branch log, and with `audit` its value audit).
-    Protocol and transport errors propagate to the caller.
+    Raises the exception the endpoint ended with, if any.
     """
     if self_name not in census:
         raise WitnessMismatchError(f"{self_name!r} is not in census {census.names}")
-    proc = run_proc(c, census)
-    log = EndpointLog(self_name)
-    state = run_endpoint(proc, census, self_name, transport, args, seed, inputs, log, audit)
-    report = RunReport(census.names, {self_name: log}, state.sent)
-    return log.result, report
+    proc, log = run_proc(c, census), EndpointLog(self_name)
+    sent = run_endpoint(proc, census, self_name, transport, args, seed, inputs, log, audit)
+    if log.error is not None:
+        raise log.error
+    return log.result, RunReport(census.names, {self_name: log}, sent)

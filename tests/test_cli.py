@@ -165,16 +165,17 @@ def test_examples_reject_options_they_do_not_take(name):
     ["run", "--example", "gmw", "--parties", "-1"],
     ["conformance", "--suite", "gmw", "--parties", "0"],
     ["conformance", "--suite", "gmw", "--parties", "-1"],
+    ["run", "--example", "kvs-enclave", "--report", "MISSING/r.txt"],
 ], ids=["unused-fail-puts", "unused-backups", "unused-inputs",
         "missing-script-run", "missing-script-count", "unknown-lottery-client",
         "unknown-gmw-party", "unknown-kvs-backup", "unknown-tamper-server",
         "gmw-zero-parties", "gmw-negative-parties", "conformance-zero-parties",
-        "conformance-negative-parties"])
+        "conformance-negative-parties", "unwritable-report"])
 def test_unused_flags_and_unreadable_files_are_config_errors(argv, tmp_path, capsys):
     missing = str(tmp_path / "missing.txt")
-    status, out, err = run_cli([missing if a == "MISSING" else a for a in argv], capsys)
+    status, out, err = run_cli([a.replace("MISSING", missing) for a in argv], capsys)
     assert status == 2 and "CONFIG ERROR" in err
-    assert out == ""  # nothing ran
+    assert out == ""  # nothing printed
 
 
 def test_conformance_single_suite(capsys):

@@ -11,7 +11,7 @@ import warnings
 
 import pytest
 
-from choreo import RunReport, census_of, project_and_run, run_centralized
+from choreo import census_of, run_centralized, run_over_tcp
 from choreo.conformance import compare_runs
 from choreo.errors import DecodeError, TransportError
 from choreo.examples import ExampleRun, build_example
@@ -139,50 +139,6 @@ def test_a_send_waits_out_back_pressure_up_to_the_receive_timeout():
         sender.join(timeout=10)
 
 
-def _run_over_tcp(ex, seed, audit=False):
-    """Every endpoint of `ex` in its own thread over loopback TCP; returns
-    one report merged from the endpoints' fragments."""
-    book = {n: f"127.0.0.1:{free_port()}" for n in ex.census.names}
-    fragments = {}
-    failures = []
-
-    def run(name):
-        transport = TcpTransport(name, book, recv_timeout=15)
-        try:
-            fragments[name] = project_and_run(
-                ex.choreography, ex.census, name, transport,
-                ex.args, seed=seed, inputs=ex.inputs, audit=audit,
-            )[1]
-        except BaseException as exc:  # surfaced via the main thread's assert
-            failures.append((name, exc))
-        finally:
-            transport.close()
-
-    threads = [threading.Thread(target=run, args=(n,)) for n in ex.census.names]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=30)
-    assert not failures, failures
-    names = ex.census.names
-    return RunReport(names, {n: fragments[n].endpoints[n] for n in names},
-                     [m for n in names for m in fragments[n].messages])
-
-
-@pytest.mark.parametrize("name, options", [
-    ("kvs-enclave", {}),
-    ("kvs-poly", {}),
-    ("gmw", {"parties": 3}),
-    ("lottery", {}),
-], ids=["kvs-enclave", "kvs-poly", "gmw", "lottery"])
-def test_protocol_over_tcp_agrees_with_oracle(name, options):
-    ex = build_example(name, **options)
-    over_tcp = _run_over_tcp(ex, seed=21, audit=True)
-    central = run_centralized(ex.choreography, ex.census, ex.args, seed=21, inputs=ex.inputs)
-    central.require_success()
-    assert compare_runs(central, over_tcp) == []
-
-
 def _rare_operators(b, args):
     # scatter, gather, replicated and others_forget: no example uses them
     keys = b.census
@@ -197,22 +153,35 @@ def _rare_operators(b, args):
     return leaves, b.others_forget(b.subset(["r"]), doubled)
 
 
-def test_rare_operators_over_tcp_agree_with_oracle():
-    ex = ExampleRun("rare-operators", _rare_operators, census_of(["p", "q", "r"]), 1)
-    over_tcp = _run_over_tcp(ex, seed=21, audit=True)
-    central = run_centralized(ex.choreography, ex.census, ex.args, seed=21)
+@pytest.mark.parametrize("ex", [
+    build_example("kvs-enclave"),
+    build_example("kvs-poly"),
+    build_example("gmw", parties=3),
+    build_example("lottery"),
+    ExampleRun("rare-operators", _rare_operators, census_of(["p", "q", "r"]), 1),
+], ids=lambda ex: ex.name)
+def test_protocol_over_tcp_agrees_with_oracle(ex):
+    over_tcp, again = (
+        run_over_tcp(ex.choreography, ex.census, ex.args, seed=21, inputs=ex.inputs, audit=True)
+        for _ in range(2)
+    )
+    assert over_tcp.serialize() == again.serialize()
+    central = run_centralized(ex.choreography, ex.census, ex.args, seed=21, inputs=ex.inputs)
     central.require_success()
     assert compare_runs(central, over_tcp) == []
-    assert len(over_tcp.messages) == 6
-    assert over_tcp.result_view("r") == [
-        {"faceted": ["p", "q", "r"], "facet": 3}, {"located": ["r"], "value": 12}
-    ]
+    if ex.name == "rare-operators":
+        assert len(over_tcp.messages) == 6
+        assert over_tcp.result_view("r") == [
+            {"faceted": ["p", "q", "r"], "facet": 3}, {"located": ["r"], "value": 12}
+        ]
 
 
 def test_audit_only_observes_over_tcp():
     ex = build_example("kvs-enclave")
-    plain = _run_over_tcp(ex, seed=21)
-    audited = _run_over_tcp(ex, seed=21, audit=True)
+    plain, audited = (
+        run_over_tcp(ex.choreography, ex.census, ex.args, seed=21, inputs=ex.inputs, audit=audit)
+        for audit in (False, True)
+    )
     assert plain.serialize() == audited.serialize()
     assert plain.messages == audited.messages
     for name in ex.census.names:
@@ -220,6 +189,27 @@ def test_audit_only_observes_over_tcp():
         assert log.result == audited_log.result
         assert log.values == []
         assert audited_log.audited and audited_log.values
+
+
+def _fails_between_two_sends(b, args):
+    b.multicast(b.member("r"), b.subset(["q"]), b.locally(b.member("r"), lambda un: 2))
+    b.multicast(b.member("p"), b.subset(["q"]), b.locally(b.member("p"), lambda un: 1))
+    failed = b.locally(b.member("p"), lambda un: 1 // 0)
+    return b.multicast(b.member("p"), b.subset(["q"]), failed)  # never sent
+
+
+def test_a_failing_run_over_tcp_is_data():
+    before = set(threading.enumerate())
+    started = time.monotonic()
+    report = run_over_tcp(_fails_between_two_sends, census_of(["p", "q", "r"]))
+    assert time.monotonic() - started < 1.0
+    errors = report.errors()
+    assert isinstance(errors["p"], ZeroDivisionError)
+    assert isinstance(errors["q"], TransportError)
+    assert "'p' closed the connection" in str(errors["q"])
+    assert "r" not in errors and report.result_view("r") is not None
+    assert sorted((m.sender, m.receiver) for m in report.messages) == [("p", "q"), ("r", "q")]
+    assert [t for t in threading.enumerate() if t not in before] == []
 
 
 def test_close_stops_the_acceptor_and_the_listener():
