@@ -2,6 +2,8 @@
 
 MultiplyLocated: one value owned identically by a set of locations; its
 presence is its ownership, and a non-owner holds the `ABSENT` placeholder.
+It is never mutated after construction, so a non-owner holds one shared
+absent value per owner set (`_absent_at`) in place of a new one per operator.
 Faceted: per-owner *distinct* private values under one handle, held as a dict
 from owner name to facet that lists the facets the interpreter can see.
 Quire: a complete location-to-value map held wholly by whoever has it.
@@ -49,6 +51,16 @@ class MultiplyLocated:
 
     def __repr__(self) -> str:
         return f"<Located {list(self._owners.names)}>"
+
+
+_ABSENT_AT: dict[tuple[str, ...], MultiplyLocated] = {}
+
+
+def _absent_at(owners: Census) -> MultiplyLocated:
+    """The one shared `MultiplyLocated(owners, ABSENT)`, keyed by the owner
+    names because hashing a Census is a Python-level call."""
+    key = owners._names
+    return _ABSENT_AT.get(key) or _ABSENT_AT.setdefault(key, MultiplyLocated(owners, ABSENT))
 
 
 class Faceted:

@@ -123,7 +123,7 @@ class Unwrapper:
                 )
             if not isinstance(value, MultiplyLocated):
                 raise ContractError(f"cannot unwrap {type(value).__name__}")
-            missing = [n for n in self._census_scope.names if n not in value.owners]
+            missing = [n for n in self._census_scope.names if n not in value._owners._positions]
             if missing:
                 raise UnwrapAbsentError(
                     f"census member {missing[0]!r} does not own the value"
@@ -131,7 +131,7 @@ class Unwrapper:
             return value._value
         if isinstance(value, (MultiplyLocated, Faceted)):
             name = self.location.name
-            if name not in value._owners:
+            if name not in value._owners._positions:
                 raise UnwrapAbsentError(
                     f"{name!r} does not own the value (owners: {value.owners.names})"
                 )
@@ -197,7 +197,8 @@ class OperatorBundle(ABC):
     # Censuses are interned, so the identity test settles almost every check
     # here and in the operator checks below without a Python-level call to
     # Census.__eq__, which `!=` would make; `!=` still decides for a Census
-    # built directly.
+    # built directly.  For the same reason the hot checks read `_positions`
+    # and `_names`: `in` and `len` on a Census are Python-level calls.
 
     def _require_member(self, w: MembershipWitness) -> None:
         if not isinstance(w, MembershipWitness) or (
@@ -227,9 +228,9 @@ class OperatorBundle(ABC):
         if not isinstance(v, MultiplyLocated):
             raise ContractError("multicast takes a multiply-located value")
         sender = s.location.name
-        if sender not in v.owners:
+        if sender not in v._owners._positions:
             raise NotAnOwnerError(f"{sender!r} does not own the value being sent")
-        if len(r.sub) == 0:
+        if not r.sub._names:
             raise EmptyCensusError("multicast needs at least one recipient")
         return sender
 
@@ -247,9 +248,9 @@ class OperatorBundle(ABC):
     def _check_enclave(self, s: SubsetWitness, c) -> Callable[["OperatorBundle"], Any]:
         """Returns the sub-choreography as a callable over the child bundle."""
         self._require_subset(s)
-        if len(s.sub) == 0:
+        if not s.sub._names:
             raise EmptyCensusError("an enclave census may not be empty")
-        return as_callable(c, s.sub)
+        return c if type(c) is FunctionType else as_callable(c, s.sub)
 
     def _loop_payloads(self, qs: SubsetWitness, per, rs: SubsetWitness | None = None):
         """Runs a fanout's iterations, or with recipients `rs` a fanin's, in
@@ -258,7 +259,7 @@ class OperatorBundle(ABC):
         self._require_subset(qs)
         if rs is not None:
             self._require_subset(rs)
-            if len(rs.sub) == 0:
+            if not rs.sub._names:
                 raise EmptyCensusError("fanin needs at least one recipient")
             recipients = rs.sub._names
         payloads = {}
@@ -283,7 +284,7 @@ class OperatorBundle(ABC):
             raise WitnessMismatchError("outer witness must target the value's owners")
         if outer.sub is not inner.sub and outer.sub != inner.sub:
             raise WitnessMismatchError("flatten witnesses must share the narrowed set")
-        if len(outer.sub) == 0:
+        if not outer.sub._names:
             raise EmptyCensusError("cannot flatten to an empty owner set")
 
     def _check_nested(self, inner: SubsetWitness, payload) -> Any:
@@ -301,7 +302,7 @@ class OperatorBundle(ABC):
             raise WitnessMismatchError("others_forget takes a subset witness")
         if t.sup is not v._owners and t.sup != v._owners:
             raise WitnessMismatchError("witness must target the value's owners")
-        if len(t.sub) == 0:
+        if not t.sub._names:
             raise EmptyCensusError("cannot shrink ownership to the empty set")
 
     # -- core operators (mode-specific) ----------------------------------

@@ -2,10 +2,11 @@
 
 `project_and_run` builds an operator bundle whose implementations act for one
 location over a transport, then simply calls the choreography with it.  Each
-operator computes a payload only where this endpoint owns the result and
-stores the `ABSENT` placeholder elsewhere; sends happen where this endpoint
-is the sender, receives where it is a recipient, and enclaves it is outside
-of are skipped entirely.
+operator computes a payload only where this endpoint owns the result;
+elsewhere it returns the one shared `MultiplyLocated(owners, ABSENT)` of that
+owner set, which is safe because a `MultiplyLocated` is never mutated after
+construction.  Sends happen where this endpoint is the sender, receives where
+it is a recipient, and enclaves it is outside of are skipped entirely.
 
 The value audit is opt-in.  With `audit=True` an endpoint also records one
 `ValueRecord` per located or faceted value it constructs.  A record is
@@ -25,7 +26,7 @@ from collections import deque
 from typing import Any
 
 from ..errors import WitnessMismatchError
-from ..located import ABSENT, Faceted, MultiplyLocated, Quire
+from ..located import ABSENT, Faceted, MultiplyLocated, Quire, _absent_at
 from ..locations import Census, Location, MembershipWitness, SubsetWitness
 from ..ops import OperatorBundle, Unwrapper, run_proc
 from ..portable import decode, encode
@@ -50,22 +51,18 @@ class EndpointState:
         self.seqs: dict[str, int] = {}
         self.sent: list[MessageRecord] = []
 
-    def tick(self) -> int:
-        t = self.clock
-        self.clock += 1
-        return t
-
     def send(self, to: str, data: bytes) -> None:
         seq = self.seqs.get(to, 0)
         self.seqs[to] = seq + 1
         self.sent.append(
-            MessageRecord(self.self_name, to, len(data), seq, t_send=self.tick())
+            MessageRecord(self.self_name, to, len(data), seq, t_send=self.clock)
         )
+        self.clock += 1
         self.transport.send(to, data)
 
     def recv(self, frm: str) -> bytes:
         data = self.transport.recv(frm)
-        self.tick()
+        self.clock += 1
         return data
 
 
@@ -73,9 +70,8 @@ class EndpointBundle(OperatorBundle):
     # -- recording ----------------------------------------------------------
 
     def _record(self, v: MultiplyLocated | Faceted):
-        """Audit `v`, present where this endpoint holds its payload."""
-        if not self._state.audit:
-            return v
+        """Audit `v`, present where this endpoint holds its payload; the
+        operators call it only when the run is audited."""
         sig = self._census.names
         seq = self._state.value_counters.get(sig, 0)
         self._state.value_counters[sig] = seq + 1
@@ -95,27 +91,33 @@ class EndpointBundle(OperatorBundle):
         self._state.log.branches.append(BranchRecord(sig, index, canonical_bytes(value)))
 
     # -- core operators -------------------------------------------------------
-    # Each value starts as ABSENT and is computed only where this endpoint is
-    # one of its owners.
+    # A value is computed only where this endpoint is one of its owners; a
+    # non-owner gets its owner set's shared absent value.  Census tests read
+    # `_positions`/`_names`, as the checks in ops.py do.
 
     def locally(self, w: MembershipWitness, body) -> MultiplyLocated:
         self._require_member(w)
-        name = w.location.name
-        value = body(self._state.unwrapper) if name == self._state.self_name else ABSENT
-        return self._record(MultiplyLocated(w.alone, value))
+        state = self._state
+        if w.location.name == state.self_name:
+            v = MultiplyLocated(w.alone, body(state.unwrapper))
+        else:
+            v = _absent_at(w.alone)
+        return self._record(v) if state.audit else v
 
     def multicast(self, s: MembershipWitness, r: SubsetWitness, v) -> MultiplyLocated:
         sender = self._check_multicast(s, r, v)
-        me = self._state.self_name
-        value = ABSENT
+        state = self._state
+        me = state.self_name
         if me == sender:
             data = encode(v._value)
-            for q in r.sub.names:
+            for q in r.sub._names:
                 if q != me:
-                    self._state.send(q, data)
-        if me in r.sub:
-            value = decode(data if me == sender else self._state.recv(sender))
-        return self._record(MultiplyLocated(r.sub, value))
+                    state.send(q, data)
+        if me in r.sub._positions:
+            v = MultiplyLocated(r.sub, decode(data if me == sender else state.recv(sender)))
+        else:
+            v = _absent_at(r.sub)
+        return self._record(v) if state.audit else v
 
     def naked(self, v) -> Any:
         self._check_naked(v)
@@ -124,37 +126,37 @@ class EndpointBundle(OperatorBundle):
 
     def enclave(self, s: SubsetWitness, c) -> MultiplyLocated:
         proc = self._check_enclave(s, c)
-        value = ABSENT
-        if self._state.self_name in s.sub:
-            value = proc(self._child(s.sub))
-        return self._record(MultiplyLocated(s.sub, value))
+        v = (MultiplyLocated(s.sub, proc(self._child(s.sub)))
+             if self._state.self_name in s.sub._positions else _absent_at(s.sub))
+        return self._record(v) if self._state.audit else v
 
     def replicated(self, body) -> MultiplyLocated:
-        value = body(Unwrapper(None, None, None, self._census))
-        return self._record(MultiplyLocated(self._census, value))
+        v = MultiplyLocated(self._census, body(Unwrapper(None, None, None, self._census)))
+        return self._record(v) if self._state.audit else v
 
     def fanout(self, qs: SubsetWitness, per) -> Faceted:
         payloads = self._loop_payloads(qs, per)
         me = self._state.self_name
-        own = {me: payloads[me]} if me in qs.sub else {}
-        return self._record(Faceted(qs.sub, own))
+        v = Faceted(qs.sub, {me: payloads[me]} if me in qs.sub._positions else {})
+        return self._record(v) if self._state.audit else v
 
     def fanin(self, qs: SubsetWitness, rs: SubsetWitness, per) -> MultiplyLocated:
         entries = self._loop_payloads(qs, per, rs)
-        value = Quire(qs.sub, entries) if self._state.self_name in rs.sub else ABSENT
-        return self._record(MultiplyLocated(rs.sub, value))
+        v = (MultiplyLocated(rs.sub, Quire(qs.sub, entries))
+             if self._state.self_name in rs.sub._positions else _absent_at(rs.sub))
+        return self._record(v) if self._state.audit else v
 
     def flatten(self, outer: SubsetWitness, inner: SubsetWitness, v) -> MultiplyLocated:
         self._check_flatten(outer, inner, v)
-        value = ABSENT
-        if self._state.self_name in outer.sub:
-            value = self._check_nested(inner, v._value)
-        return self._record(MultiplyLocated(outer.sub, value))
+        v = (MultiplyLocated(outer.sub, self._check_nested(inner, v._value))
+             if self._state.self_name in outer.sub._positions else _absent_at(outer.sub))
+        return self._record(v) if self._state.audit else v
 
     def others_forget(self, t: SubsetWitness, v) -> MultiplyLocated:
         self._check_others_forget(t, v)
-        value = v._value if self._state.self_name in t.sub else ABSENT
-        return self._record(MultiplyLocated(t.sub, value))
+        v = (MultiplyLocated(t.sub, v._value)
+             if self._state.self_name in t.sub._positions else _absent_at(t.sub))
+        return self._record(v) if self._state.audit else v
 
 
 def run_endpoint(

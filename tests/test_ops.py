@@ -427,6 +427,10 @@ def _fanin_wrong_owners(b, args):
     return b.fanin(b.everyone(), b.subset(["r"]), per)
 
 
+def _enclave_of_a_non_callable(b, args):
+    return b.enclave(b.subset(["p", "q"]), 42)  # r, a non-member, must fail too
+
+
 def _flatten_outer_off_owners(b, args):
     p = census_of(["p"])
     return b.flatten(subset(p, census_of(["p", "q"])), subset(p, PCH), _nested(b))
@@ -464,6 +468,7 @@ def _forget_off_owners(b, args):
     "chor, error",
     [
         (_empty_enclave, EmptyCensusError),
+        (_enclave_of_a_non_callable, ContractError),
         (_fanout_wrong_shape, ContractError),
         (_fanout_not_located, ContractError),
         (_fanin_to_nobody, EmptyCensusError),
@@ -505,10 +510,14 @@ def test_declared_census_must_match_the_run():
     with pytest.raises(WitnessMismatchError, match=message):
         project_and_run(declared, PCH, "p", transport=None)  # fails before any I/O
 
-    def enclave_of_declared(b, args):
-        return b.enclave(b.subset(["p", "q", "r"]), Choreography(lambda eb, a: 1, census=other))
+    def enclave_of_declared(members, declared):
+        sub = Choreography(lambda eb, a: 1, census=declared)
+        return lambda b, args: b.enclave(b.subset(members), sub)
 
-    for run in (run_centralized, run_simulated):
-        report = run(enclave_of_declared, PCH)
-        _fails_everywhere(report, WitnessMismatchError)
-        assert all("running under ('p', 'q', 'r')" in str(e) for e in report.errors().values())
+    # the enclave of p and q has a non-member, r, which must fail too
+    for members, declared in ((["p", "q", "r"], other), (["p", "q"], PCH)):
+        for run in (run_centralized, run_simulated):
+            report = run(enclave_of_declared(members, declared), PCH)
+            _fails_everywhere(report, WitnessMismatchError)
+            under = f"running under {tuple(members)}"
+            assert all(under in str(e) for e in report.errors().values())

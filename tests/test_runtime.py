@@ -8,10 +8,11 @@ from functools import partial
 import pytest
 from conftest import run_agreeing
 
-from choreo import census_of, project_and_run, run_centralized, run_simulated
+from choreo import census_of, project_and_run, run_centralized, run_simulated, subset
 from choreo.errors import CommitmentFailed, StepBudgetExceeded, WitnessMismatchError
 from choreo.conformance import _equivalence_examples, compare_runs
 from choreo.examples import build_example, example_names
+from choreo.located import _ABSENT_AT, ABSENT
 from choreo.runtime import (
     BranchRecord,
     EndpointLog,
@@ -84,6 +85,37 @@ def test_projection_erasure_for_uninvolved_endpoint():
     assert [r.state for r in fragment.endpoints["c"].values] == ["absent"] * 3
     assert check_value_agreement(fragment) == []
     assert fragment.messages == []
+
+
+def test_non_owners_share_one_absent_value_per_owner_set():
+    # A MultiplyLocated is never mutated, so a non-owner's operators hand out
+    # one shared absent value per owner set and never run the owner's body.
+    pqr, pq = census_of(["p", "q", "r"]), census_of(["p", "q"])
+    ran, seen = [], {}
+
+    def body(un):
+        ran.append(un.location.name)
+        return 1
+
+    def chor(b, args):
+        seen["locally"] = [b.locally(b.member("p"), body) for _ in range(2)]
+        at_pq = b.subset(["p", "q"])
+        seen["enclave"] = b.enclave(at_pq, lambda eb: eb.locally(eb.member("p"), body))
+        nested = b.enclave(b.everyone(), lambda eb: eb.enclave(eb.subset(["p", "q"]), lambda _: 1))
+        seen["flatten"] = b.flatten(at_pq, subset(pq, pq), nested)
+        return seen["flatten"]
+
+    project_and_run(chor, pqr, "r", transport=None)
+    first, second = seen["locally"]
+    assert first is second and first._value is ABSENT and first.owners.names == ("p",)
+    assert seen["enclave"] is _ABSENT_AT[("p", "q")] is seen["flatten"]
+    assert ran == []
+
+    _, audited = run_agreeing(chor, pqr)
+    for name, log in audited.endpoints.items():
+        assert log.values
+        for record in log.values:
+            assert record.state == ("present" if name in record.owners else "absent")
 
 
 def test_per_endpoint_randomness_matches_across_modes():
