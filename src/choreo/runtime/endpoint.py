@@ -9,15 +9,15 @@ construction.  Sends happen where this endpoint is the sender, receives where
 it is a recipient, and enclaves it is outside of are skipped entirely.
 
 The value audit is opt-in.  With `audit=True` an endpoint also records one
-`ValueRecord` per located or faceted value it constructs.  A record is
-`present` exactly where the endpoint holds a payload other than `ABSENT`
-(for a faceted value, its own facet): it is read from what the endpoint
-holds, not from the owner set, so that `check_value_agreement` can find the
-two out of step, and it flags a record made under a census the endpoint is
-not in.  That check, and through it `conformance.compare_runs`, read the
-records, so the runs compared with the oracle turn the audit on.  By default
-only the branch log and the message log are kept, which is all that
-`RunReport.serialize()` reads.
+`ValueRecord` per located or faceted value an operator returns, a shared
+absent one included.  A record is `present` exactly where the endpoint holds
+a payload other than `ABSENT` (for a faceted value, its own facet): it is
+read from what the endpoint holds, not from the owner set, so that
+`check_value_agreement` can find the two out of step, and it flags a record
+made under a census the endpoint is not in.  That check, and through it
+`conformance.compare_runs`, read the records, so the runs compared with the
+oracle turn the audit on.  By default only the branch log and the message log
+are kept, which is all that `RunReport.serialize()` reads.
 """
 
 from __future__ import annotations
