@@ -91,14 +91,15 @@ class Quire:
     __slots__ = ("_keys", "_entries")
 
     def __init__(self, keys: Census, entries: Mapping[str, Any]):
-        missing = [n for n in keys.names if n not in entries]
-        extra = [n for n in entries if n not in keys]
-        if missing or extra:
+        entries = dict(entries)
+        if entries.keys() != keys._positions.keys():
+            missing = [n for n in keys._names if n not in entries]
+            extra = [n for n in entries if n not in keys._positions]
             raise ContractError(
                 f"quire entries do not match keys (missing={missing}, extra={extra})"
             )
         self._keys = keys
-        self._entries = dict(entries)
+        self._entries = entries
 
     @property
     def keys(self) -> Census:
@@ -113,10 +114,11 @@ class Quire:
         return self._entries[key]
 
     def values(self) -> list[Any]:
-        return [self._entries[n] for n in self._keys.names]
+        return list(map(self._entries.__getitem__, self._keys._names))
 
     def items(self) -> list[tuple[str, Any]]:
-        return [(n, self._entries[n]) for n in self._keys.names]
+        names = self._keys._names
+        return list(zip(names, map(self._entries.__getitem__, names)))
 
     def to_dict(self) -> dict[str, Any]:
         return {n: self._entries[n] for n in self._keys.names}

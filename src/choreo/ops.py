@@ -40,9 +40,12 @@ Global semantics, in one place:
 - flatten / others_forget     un-nest a located-located value / shrink an owner
                               set; never communicate.
 
-A body may change only state that belongs to its own location: the simulator
-and `run_over_tcp` hand every endpoint the same `args` object, so a change one
-body makes to it is seen by the others, as separate processes would not be.
+A body may change only state that belongs to its own location.  The simulator
+and `run_over_tcp` give each endpoint its own deep copy of `args`, as separate
+processes would have, and skip the copy when `args` is built only from
+immutable values; the oracle keeps one `args`, so a body that changes it
+disagrees with the oracle.  State reached through a closure or a module global
+is not isolated.
 """
 
 from __future__ import annotations
@@ -116,27 +119,28 @@ class Unwrapper:
         return self._inputs.popleft()
 
     def __call__(self, value: Any) -> Any:
-        if self._census_scope is not None:
-            if isinstance(value, Faceted):
-                raise UnwrapAbsentError(
-                    "faceted values have no census-agreed reading"
-                )
-            if not isinstance(value, MultiplyLocated):
+        # An exact MultiplyLocated or Faceted skips the isinstance tests.
+        t = type(value)
+        if t is not MultiplyLocated and t is not Faceted:
+            if isinstance(value, MultiplyLocated):
+                t = MultiplyLocated
+            elif isinstance(value, Faceted):
+                t = Faceted
+            else:
                 raise ContractError(f"cannot unwrap {type(value).__name__}")
-            missing = [n for n in self._census_scope.names if n not in value._owners._positions]
-            if missing:
-                raise UnwrapAbsentError(
-                    f"census member {missing[0]!r} does not own the value"
-                )
-            return value._value
-        if isinstance(value, (MultiplyLocated, Faceted)):
+        if self._census_scope is None:
             name = self.location.name
             if name not in value._owners._positions:
                 raise UnwrapAbsentError(
                     f"{name!r} does not own the value (owners: {value.owners.names})"
                 )
-            return value._facets[name] if isinstance(value, Faceted) else value._value
-        raise ContractError(f"cannot unwrap {type(value).__name__}")
+            return value._value if t is MultiplyLocated else value._facets[name]
+        if t is Faceted:
+            raise UnwrapAbsentError("faceted values have no census-agreed reading")
+        missing = [n for n in self._census_scope.names if n not in value._owners._positions]
+        if missing:
+            raise UnwrapAbsentError(f"census member {missing[0]!r} does not own the value")
+        return value._value
 
 
 def _check_declared(c: Choreography, census: Census, verb: str) -> None:

@@ -14,7 +14,11 @@ Grammar (one tag byte, then a payload):
 
 encode is deterministic (identical values give identical bytes) and
 decode(encode(v)) == v for every value of the grammar.  2-tuples are always
-pairs; use lists for variable-length sequences.
+pairs; use lists for variable-length sequences.  A value of an exact grammar
+type goes straight to its writer.  A subclass (a str subclass, a NamedTuple,
+an IntEnum) takes the general path: the first grammar type it is an instance
+of, in the order int, str, tuple, Variant, list, dict, writes the same bytes
+as the base value, and decode gives back the base type.
 """
 
 from __future__ import annotations
@@ -48,56 +52,72 @@ class Variant:
 
 
 def encode(value: Any) -> bytes:
+    if type(value) is bool:
+        return _BOOLS[value]
     out = bytearray()
     _write(out, value)
     return bytes(out)
 
 
 def decode(data: bytes) -> Any:
-    value, offset = _read(data, 0)
+    if len(data) == 2 and data[0] == TAG_BOOL and data[1] < 2:
+        return data[1] == 1
+    try:
+        value, offset = _read(data, 0)
+    except (IndexError, struct.error):  # a tag, byte or count past the end
+        raise DecodeError("truncated encoding") from None
     if offset != len(data):
         raise DecodeError(f"{len(data) - offset} trailing bytes after value")
     return value
 
 
+_BOOLS = {False: bytes((TAG_BOOL, 0)), True: bytes((TAG_BOOL, 1))}
+_BASES = (int, str, tuple, Variant, list, dict)
+_EXACT = frozenset((bool, type(None)) + _BASES)
+
+
 def _write(out: bytearray, v: Any) -> None:
-    if v is None:
-        out.append(TAG_UNIT)
-    elif isinstance(v, bool):
-        out.append(TAG_BOOL)
-        out.append(1 if v else 0)
-    elif isinstance(v, int):
-        if not _INT64_MIN <= v <= _INT64_MAX:
-            raise EncodeError(f"integer out of 64-bit range: {v}")
-        out.append(TAG_INT64)
-        out += v.to_bytes(8, "big", signed=True)
-    elif isinstance(v, str):
+    t = type(v)
+    if t not in _EXACT:
+        t = next((base for base in _BASES if isinstance(v, base)), None)
+        if t is None:
+            raise EncodeError(f"value of type {type(v).__name__} is not portable")
+    if t is bool:
+        out += _BOOLS[v]
+    elif t is str:
         raw = v.encode("utf-8")
         if len(raw) > _MAX_COUNT:
             raise EncodeError("text too long")
         out.append(TAG_TEXT)
         out += struct.pack(">I", len(raw))
         out += raw
-    elif isinstance(v, tuple):
+    elif t is tuple:
         if len(v) != 2:
             raise EncodeError("only 2-tuples encode (as pairs); use a list")
         out.append(TAG_PAIR)
         _write(out, v[0])
         _write(out, v[1])
-    elif isinstance(v, Variant):
+    elif t is int:
+        if not _INT64_MIN <= v <= _INT64_MAX:
+            raise EncodeError(f"integer out of 64-bit range: {v}")
+        out.append(TAG_INT64)
+        out += v.to_bytes(8, "big", signed=True)
+    elif v is None:
+        out.append(TAG_UNIT)
+    elif t is Variant:
         if not 0 <= v.tag <= 255:
             raise EncodeError(f"variant index out of range: {v.tag}")
         out.append(TAG_UNION)
         out.append(v.tag)
         _write(out, v.value)
-    elif isinstance(v, list):
+    elif t is list:
         if len(v) > _MAX_COUNT:
             raise EncodeError("sequence too long")
         out.append(TAG_SEQ)
         out += struct.pack(">I", len(v))
         for item in v:
             _write(out, item)
-    elif isinstance(v, dict):
+    else:
         if len(v) > _MAX_COUNT:
             raise EncodeError("map too large")
         out.append(TAG_MAP)
@@ -105,51 +125,41 @@ def _write(out: bytearray, v: Any) -> None:
         for key_bytes, key in sorted((encode(k), k) for k in v):
             out += key_bytes
             _write(out, v[key])
-    else:
-        raise EncodeError(f"value of type {type(v).__name__} is not portable")
-
-
-def _need(data: bytes, offset: int, n: int) -> None:
-    if offset + n > len(data):
-        raise DecodeError("truncated encoding")
 
 
 def _read(data: bytes, offset: int) -> tuple[Any, int]:
-    _need(data, offset, 1)
     tag = data[offset]
-    offset += 1
-    if tag == TAG_UNIT:
-        return None, offset
     if tag == TAG_BOOL:
-        _need(data, offset, 1)
-        b = data[offset]
-        if b not in (0, 1):
+        b = data[offset + 1]
+        if b > 1:
             raise DecodeError(f"bad boolean byte {b}")
-        return bool(b), offset + 1
-    if tag == TAG_INT64:
-        _need(data, offset, 8)
-        return int.from_bytes(data[offset : offset + 8], "big", signed=True), offset + 8
+        return b == 1, offset + 2
+    offset += 1
     if tag == TAG_TEXT:
-        _need(data, offset, 4)
         (n,) = struct.unpack_from(">I", data, offset)
-        offset += 4
-        _need(data, offset, n)
+        raw = data[offset + 4 : offset + 4 + n]
+        if len(raw) != n:
+            raise DecodeError("truncated encoding")
         try:
-            text = data[offset : offset + n].decode("utf-8")
+            return raw.decode("utf-8"), offset + 4 + n
         except UnicodeDecodeError as exc:
             raise DecodeError(f"invalid UTF-8 in text value: {exc}") from None
-        return text, offset + n
     if tag == TAG_PAIR:
         first, offset = _read(data, offset)
         second, offset = _read(data, offset)
         return (first, second), offset
+    if tag == TAG_UNIT:
+        return None, offset
+    if tag == TAG_INT64:
+        raw = data[offset : offset + 8]
+        if len(raw) != 8:
+            raise DecodeError("truncated encoding")
+        return int.from_bytes(raw, "big", signed=True), offset + 8
     if tag == TAG_UNION:
-        _need(data, offset, 1)
         index = data[offset]
         value, offset = _read(data, offset + 1)
         return Variant(index, value), offset
     if tag == TAG_SEQ:
-        _need(data, offset, 4)
         (n,) = struct.unpack_from(">I", data, offset)
         offset += 4
         items = []
@@ -158,7 +168,6 @@ def _read(data: bytes, offset: int) -> tuple[Any, int]:
             items.append(item)
         return items, offset
     if tag == TAG_MAP:
-        _need(data, offset, 4)
         (n,) = struct.unpack_from(">I", data, offset)
         offset += 4
         entries = {}

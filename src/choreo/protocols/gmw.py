@@ -29,7 +29,7 @@ from ..errors import (
     NotAMemberError,
 )
 from ..located import Faceted, Quire
-from ..locations import census_of, compose, subset
+from ..locations import census_of, compose, member_witnesses, subset
 from ..ops import OperatorBundle
 
 
@@ -63,10 +63,7 @@ def xor_fold(bits: Iterable[Any]) -> bool:
     items = list(bits)
     if not items:
         raise EmptyFoldError("xor fold over an empty sequence")
-    result = False
-    for bit in items:
-        result = result != bool(bit)
-    return result
+    return sum(map(bool, items)) % 2 == 1
 
 
 def gen_shares(n: int, secret: bool, rng) -> list[bool]:
@@ -198,6 +195,14 @@ def _decrypt(keys: tuple[str, str, str], select: bool, cipher: tuple[bool, bool]
     return bool(chosen) != _mask_bit(key_hex)
 
 
+@cache
+def _each_alone(names: tuple[str, ...]) -> dict[str, Any]:
+    """The witness of each census member alone in the census; built once per
+    census and only read."""
+    census = census_of(names)
+    return {n: subset(census_of([n]), census) for n in names}
+
+
 def ot2(b: OperatorBundle, sender, receiver, pair, select):
     """1-of-2 oblivious transfer; the census must be exactly the two parties.
 
@@ -208,14 +213,13 @@ def ot2(b: OperatorBundle, sender, receiver, pair, select):
     names = b.census.names
     if len(names) != 2 or {sender.location.name, receiver.location.name} != set(names):
         raise ContractError("oblivious transfer is a two-party protocol")
-    sender_name = sender.location.name
-    receiver_name = receiver.location.name
+    alone = _each_alone(names)
 
     keys = b.locally(receiver, lambda un: _gen_keys(bool(un(select)), un.rng))
-    published = b.locally(receiver, lambda un: (un(keys)[0], un(keys)[1]))
-    at_sender = b.multicast(receiver, b.subset([sender_name]), published)
+    published = b.locally(receiver, lambda un: un(keys)[:2])
+    at_sender = b.multicast(receiver, alone[sender.location.name], published)
     cipher = b.locally(sender, lambda un: _encrypt(un(at_sender), un(pair)))
-    at_receiver = b.multicast(sender, b.subset([receiver_name]), cipher)
+    at_receiver = b.multicast(sender, alone[receiver.location.name], cipher)
     return b.locally(
         receiver, lambda un: _decrypt(un(keys), bool(un(select)), un(at_receiver))
     )
@@ -224,9 +228,9 @@ def ot2(b: OperatorBundle, sender, receiver, pair, select):
 @cache
 def _transfer_witnesses(names: tuple[str, ...]) -> dict[tuple[str, str], tuple]:
     """For each ordered pair (i, j) of distinct census members: the enclave
-    witness of {i, j} in the census, and the outer and inner witnesses that
-    flatten the transfer's result down to j.  Built once per census; the
-    table is only read."""
+    witness of {i, j} in the census, the outer and inner witnesses that
+    flatten the transfer's result down to j, and the membership witnesses of
+    i and j in {i, j}.  Built once per census; the table is only read."""
     census = census_of(names)
     table = {}
     for i in names:
@@ -234,7 +238,8 @@ def _transfer_witnesses(names: tuple[str, ...]) -> dict[tuple[str, str], tuple]:
             if i != j:
                 two = subset(census_of([i, j]), census)
                 j_only = census_of([j])
-                table[(i, j)] = (two, subset(j_only, two.sub), subset(j_only, j_only))
+                table[(i, j)] = (two, subset(j_only, two.sub), subset(j_only, j_only),
+                                 *member_witnesses(two.sub))
     return table
 
 
@@ -254,6 +259,7 @@ def f_and(b: OperatorBundle, u: Faceted, v: Faceted) -> Faceted:
         raise ContractError("right shares must be owned by the whole census")
     names = census.names
     witnesses = _transfer_witnesses(names)
+    alone = _each_alone(names)
 
     mask_rows = b.parallel(
         b.everyone(),
@@ -268,7 +274,7 @@ def f_and(b: OperatorBundle, u: Faceted, v: Faceted) -> Faceted:
                 i_name = i_w.location.name
                 if i_name == j_name:
                     return lambda b2: b2.locally(j_w, lambda un: False)
-                two, outer, inner = witnesses[(i_name, j_name)]
+                two, outer, inner, i_in, j_in = witnesses[(i_name, j_name)]
 
                 def transfer(b2: OperatorBundle):
                     def offer(un):
@@ -277,15 +283,12 @@ def f_and(b: OperatorBundle, u: Faceted, v: Faceted) -> Faceted:
 
                     pair = b2.locally(i_w, offer)
                     choice = b2.locally(j_w, lambda un: bool(un(v)))
-                    nested = b2.enclave(
-                        two,
-                        lambda b3: ot2(b3, b3.member(i_name), b3.member(j_name), pair, choice),
-                    )
+                    nested = b2.enclave(two, lambda b3: ot2(b3, i_in, j_in, pair, choice))
                     return b2.flatten(outer, inner, nested)
 
                 return transfer
 
-            received = bb.fanin(bb.everyone(), bb.subset([j_name]), per_sender)
+            received = bb.fanin(bb.everyone(), alone[j_name], per_sender)
             return bb.locally(j_w, lambda un: xor_fold(un(received).values()))
 
         return collect

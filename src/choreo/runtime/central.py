@@ -1,11 +1,12 @@
 """Centralized interpreter: every endpoint's view computed in one process.
 
-No transport exists; multicasts still round-trip their payloads through the
-canonical codec and append virtual message records, so message accounting and
-branch logs are identical to a projected run.  This interpreter is the oracle
-the simulated and TCP runs are compared against, and it records only what they
-are compared on.  Every member's view derives from one value held here, so
-per-member value records could never disagree: none are written.
+No transport exists; every multicast payload still round-trips `encode` then
+`decode`, and `multicast` builds its virtual message records inline (per-pair
+seq, the message count as clock), so message accounting and branch logs are
+identical to a projected run.  This interpreter is the oracle the simulated
+and TCP runs are compared against, and it records only what they are compared
+on.  Every member's view derives from one value held here, so per-member value
+records could never disagree: none are written.
 """
 
 from __future__ import annotations
@@ -45,11 +46,6 @@ class _CentralState:
         self.seqs: dict[tuple[str, str], int] = {}
         self.messages: list[MessageRecord] = []
 
-    def next_seq(self, sender: str, receiver: str) -> int:
-        seq = self.seqs.get((sender, receiver), 0)
-        self.seqs[(sender, receiver)] = seq + 1
-        return seq
-
 
 class CentralBundle(OperatorBundle):
     # -- core operators ----------------------------------------------------
@@ -70,19 +66,19 @@ class CentralBundle(OperatorBundle):
         sender = self._check_multicast(s, r, v)
         data = encode(v._value)
         value = decode(data)
-        for q in r.sub.names:
-            if q == sender:
-                continue
-            t = len(self._state.messages)  # the oracle's clock: one tick per message
-            self._state.messages.append(
-                MessageRecord(sender, q, len(data), self._state.next_seq(sender, q),
-                              t_send=t, t_deliver=t, t_recv=t)
-            )
+        nbytes = len(data)
+        messages, seqs = self._state.messages, self._state.seqs
+        for q in r.sub._names:
+            if q != sender:
+                t = len(messages)  # the oracle's clock: one tick per message
+                seq = seqs.get((sender, q), 0)
+                seqs[sender, q] = seq + 1
+                messages.append(MessageRecord(sender, q, nbytes, seq, t, t, t))
         return MultiplyLocated(r.sub, value)
 
     def naked(self, v) -> Any:
         self._check_naked(v)
-        sig = self._census.names
+        sig = self._census._names
         outcome = canonical_bytes(v._value)
         index = self._state.branch_counters.get(sig, 0)
         self._state.branch_counters[sig] = index + 1

@@ -1,9 +1,12 @@
 """Whole-system runs in one process, one endpoint task per census member:
 over the deterministic in-memory transport with seeded interleaving, or over
-loopback TCP.  Each endpoint's error is recorded in the report, not raised."""
+loopback TCP.  Each endpoint's error is recorded in the report, not raised,
+and each endpoint runs on its own copy of the run's `args`."""
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import threading
 from typing import Any
 
@@ -13,6 +16,24 @@ from ..ops import run_proc
 from ..transport import SimNet, TcpTransport, free_port
 from .endpoint import run_endpoint
 from .report import EndpointLog, RunReport
+
+
+def _immutable(value: Any) -> bool:
+    """Built only from None, bool, int, str, tuples, frozensets and frozen
+    dataclasses, so no body can change it."""
+    if type(value) in (tuple, frozenset):
+        return all(map(_immutable, value))
+    if getattr(getattr(type(value), "__dataclass_params__", None), "frozen", False):
+        return all(_immutable(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return value is None or type(value) in (bool, int, str)
+
+
+def _own_args(args: Any, names: tuple[str, ...]) -> dict[str, Any]:
+    """Each endpoint's own `args`, as separate processes would have: a deep
+    copy per endpoint, or the one `args` when nothing in it can change."""
+    if _immutable(args):
+        return dict.fromkeys(names, args)
+    return {name: copy.deepcopy(args) for name in names}
 
 
 def run_simulated(
@@ -34,10 +55,11 @@ def run_simulated(
     proc = run_proc(c, census)
     net = SimNet(census.names, seed=seed, step_budget=step_budget)
     logs = {name: EndpointLog(name) for name in census.names}
+    own = _own_args(args, census.names)
 
     def make_main(name: str):
         return lambda: run_endpoint(
-            proc, census, name, net.handle(name), args, seed, inputs, logs[name], audit
+            proc, census, name, net.handle(name), own[name], seed, inputs, logs[name], audit
         )
 
     for name, err in net.run({name: make_main(name) for name in census.names}).items():
@@ -55,6 +77,7 @@ def run_over_tcp(
     (a failed bind raises TransportError); each closes its transport as soon
     as it ends, so a receive from it fails at once; all have ended on return."""
     proc = run_proc(c, census)
+    own = _own_args(args, census.names)
     book = {name: f"127.0.0.1:{free_port()}" for name in census.names}
     transports = []
     try:
@@ -69,7 +92,7 @@ def run_over_tcp(
 
     def main(t: TcpTransport) -> None:
         n = t.self_name
-        sent[n] = run_endpoint(proc, census, n, t, args, seed, inputs, logs[n], audit)
+        sent[n] = run_endpoint(proc, census, n, t, own[n], seed, inputs, logs[n], audit)
         t.close()
 
     threads = [threading.Thread(target=main, args=(t,)) for t in transports]

@@ -26,6 +26,13 @@ def test_xor_fold():
     assert G.xor_fold([False, False]) is False
     with pytest.raises(EmptyFoldError):
         G.xor_fold([])
+    # truthy entries count as true, and the result is a bool
+    assert G.xor_fold([2, 1]) is False
+    assert G.xor_fold([2, 0, "x"]) is False
+    assert G.xor_fold(iter([7])) is True
+    assert G.xor_fold([0, None, ""]) is False
+    with pytest.raises(EmptyFoldError):
+        G.xor_fold(iter([]))
 
 
 def test_gen_shares_structure_and_reconstruction():

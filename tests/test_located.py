@@ -1,3 +1,5 @@
+from types import MappingProxyType
+
 import pytest
 
 from choreo import Quire, census_of
@@ -18,7 +20,22 @@ def test_quire_totality_and_order():
 
 def test_quire_rejects_partial_or_extra_entries():
     keys = census_of(["a", "b"])
-    with pytest.raises(ContractError):
-        Quire(keys, {"a": 1})
-    with pytest.raises(ContractError):
-        Quire(keys, {"a": 1, "b": 2, "z": 3})
+    for entries, text in (
+        ({"a": 1}, "missing=['b'], extra=[]"),
+        ({"a": 1, "b": 2, "z": 3}, "missing=[], extra=['z']"),
+        ({"z": 3, "b": 2}, "missing=['a'], extra=['z']"),
+        ({}, "missing=['a', 'b'], extra=[]"),
+    ):
+        with pytest.raises(ContractError) as info:
+            Quire(keys, entries)
+        assert str(info.value) == f"quire entries do not match keys ({text})"
+
+
+def test_quire_takes_any_mapping_and_keeps_its_own_copy():
+    keys = census_of(["b", "a"])
+    entries = {"a": 1, "b": 2}
+    q = Quire(keys, MappingProxyType(entries))
+    assert q.items() == [("b", 2), ("a", 1)]
+    entries["a"] = 99
+    del entries["b"]
+    assert q.values() == [2, 1] and q.to_dict() == {"b": 2, "a": 1}

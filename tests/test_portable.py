@@ -1,4 +1,6 @@
+import enum
 import struct
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given
@@ -134,6 +136,66 @@ def test_int64_edges_and_bool_int_lookalikes():
     assert encode(True) != encode(1) and encode(False) != encode(0)
     assert decode(encode(1)) is not True and decode(encode(True)) is True
     assert decode(encode(0)) is not False and decode(encode(False)) is False
+    assert encode((True, 0)) == b"\x04\x01\x01" + encode(0)
+    assert [type(x) for x in decode(encode((False, 1)))] == [bool, int]
     for out_of_range in (-(1 << 63) - 1, 1 << 63):
         with pytest.raises(EncodeError):
             encode(out_of_range)
+
+
+class _Text(str):
+    pass
+
+
+class _Pair(NamedTuple):
+    key: str
+    value: int
+
+
+class _Small(enum.IntEnum):
+    SEVEN = 7
+
+
+@pytest.mark.parametrize("value, base", [
+    (_Text("hi"), "hi"),
+    (_Pair("k", 1), ("k", 1)),
+    (_Small.SEVEN, 7),
+    ([_Text("a"), _Pair(_Text("b"), _Small.SEVEN)], ["a", ("b", 7)]),
+    ({_Text("k"): _Small.SEVEN}, {"k": 7}),
+], ids=["str-subclass", "namedtuple", "intenum", "nested-list", "map"])
+def test_subclasses_encode_as_their_base_values(value, base):
+    # Subclasses take the general path; it must write the base value's bytes,
+    # and decode gives back the base types.
+    data = encode(value)
+    assert data == encode(base)
+    back = decode(data)
+    assert back == base and type(back) is type(base)
+    if isinstance(base, list):
+        assert [type(x) for x in back] == [str, tuple]
+        assert [type(x) for x in back[1]] == [str, int]
+
+
+@pytest.mark.parametrize("data, text", [
+    (b"\x01\x02", "bad boolean byte 2"),
+    (b"\x01", "truncated encoding"),
+    (b"", "truncated encoding"),
+    (b"\x04\x01\x01", "truncated encoding"),
+    (b"\x03\x00\x00\x00\x05ab", "truncated encoding"),
+    (b"\x03\x00\x00", "truncated encoding"),
+    (b"\x02\x00", "truncated encoding"),
+    (b"\x05", "truncated encoding"),
+    (b"\x06\x00\x00\x00\x01", "truncated encoding"),
+    (b"\x01\x01\x00", "1 trailing bytes after value"),
+    (b"\x04\x01\x01\x01\x07", "bad boolean byte 7"),
+])
+def test_malformed_input_gives_its_error_text(data, text):
+    with pytest.raises(DecodeError) as info:
+        decode(data)
+    assert str(info.value) == text
+
+
+@pytest.mark.parametrize("value", [(1, 2, 3), (), ("one",), _Pair("k", 1) + (2,)])
+def test_tuples_other_than_pairs_do_not_encode(value):
+    with pytest.raises(EncodeError) as info:
+        encode(value)
+    assert str(info.value) == "only 2-tuples encode (as pairs); use a list"

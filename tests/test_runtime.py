@@ -8,7 +8,14 @@ from functools import partial
 import pytest
 from conftest import run_agreeing
 
-from choreo import census_of, project_and_run, run_centralized, run_simulated, subset
+from choreo import (
+    census_of,
+    project_and_run,
+    run_centralized,
+    run_over_tcp,
+    run_simulated,
+    subset,
+)
 from choreo.errors import CommitmentFailed, StepBudgetExceeded, WitnessMismatchError
 from choreo.conformance import _equivalence_examples, compare_runs
 from choreo.examples import build_example, example_names
@@ -22,6 +29,7 @@ from choreo.runtime import (
     check_fifo,
     check_value_agreement,
 )
+from choreo.runtime.simulate import _own_args
 from choreo.seeding import location_rng
 from choreo.transport import MessageRecord
 
@@ -387,3 +395,42 @@ def test_simulated_partial_failure_is_per_endpoint():
     assert isinstance(errors["b"], CommitmentFailed)
     assert isinstance(errors["a"], StepBudgetExceeded)  # waits for b forever
     assert "c" not in errors  # c finishes: nothing else involves it
+
+
+def _reads_what_a_appended(b, args):
+    # hidden shared state: a changes the run's args, then c reads it and
+    # tells b what it saw
+    b.locally(b.member("a"), lambda un: args.append(1))
+    seen = b.locally(b.member("c"), lambda un: len(args))
+    return b.multicast(b.member("c"), b.subset(["b"]), seen)
+
+
+def test_each_projected_endpoint_changes_only_its_own_args():
+    central = run_centralized(_reads_what_a_appended, THREE, [])
+    assert central.result_view("b")["value"] == 1  # one process, one args
+    runs = [run_simulated(_reads_what_a_appended, THREE, [], seed=seed, audit=True)
+            for seed in range(10)]
+    runs.append(run_over_tcp(_reads_what_a_appended, THREE, [], audit=True))
+    for report in runs:
+        report.require_success()
+        # c's copy never saw a's change, whatever the schedule
+        assert report.result_view("b")["value"] == 0
+        assert compare_runs(central, report) == ["results differ at b"]
+    args = []
+    run_simulated(_reads_what_a_appended, THREE, args).require_success()
+    assert args == []  # the caller's args is not changed either
+
+
+@pytest.mark.parametrize("name", example_names())
+def test_immutable_args_are_shared_not_copied(name):
+    ex = build_example(name)
+    own = _own_args(ex.args, ex.census.names)
+    assert list(own) == list(ex.census.names)
+    assert all(args is ex.args for args in own.values())
+
+
+def test_mutable_args_are_copied_per_endpoint():
+    args = (1, [2], frozenset({"x"}))
+    own = _own_args(args, ("a", "b"))
+    assert own["a"] == own["b"] == args
+    assert own["a"] is not args and own["a"][1] is not own["b"][1]
