@@ -11,7 +11,6 @@ from .located import ABSENT, Faceted, MultiplyLocated, Quire
 from .locations import (
     EMPTY,
     Census,
-    Location,
     MembershipWitness,
     SubsetWitness,
     census_of,
@@ -41,7 +40,6 @@ __all__ = [
     "Choreography",
     "EMPTY",
     "Faceted",
-    "Location",
     "MembershipWitness",
     "MultiplyLocated",
     "OperatorBundle",

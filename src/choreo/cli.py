@@ -109,6 +109,8 @@ def _write_report(path: str | None, report) -> None:
 
 
 def _cmd_run(ns) -> int:
+    if ns.step_budget < 1 or not ns.recv_timeout > 0:
+        raise ConfigError("--step-budget must be >= 1 and --recv-timeout > 0")
     ex = _load_example(ns)
     if ns.mode == "centralized":
         report = run_centralized(

@@ -8,6 +8,8 @@ Faceted: per-owner *distinct* private values under one handle, held as a dict
 from owner name to facet that lists the facets the interpreter can see.
 Quire: a complete location-to-value map held wholly by whoever has it.
 
+Owners and keys are location names (`str`): a location is its name.
+
 MultiplyLocated and Faceted are constructed only by the runtime;
 choreographies read them through unwrappers, `naked`, or the loop operators.
 Quire is an ordinary container with a public constructor.
@@ -18,7 +20,7 @@ from __future__ import annotations
 from typing import Any, Iterator, Mapping
 
 from .errors import ContractError
-from .locations import Census, Location
+from .locations import Census
 
 
 class _AbsentType:
@@ -105,13 +107,8 @@ class Quire:
     def keys(self) -> Census:
         return self._keys
 
-    def get(self, name: str) -> Any:
+    def __getitem__(self, name: str) -> Any:
         return self._entries[name]
-
-    def __getitem__(self, key) -> Any:
-        if isinstance(key, Location):
-            key = key.name
-        return self._entries[key]
 
     def values(self) -> list[Any]:
         return list(map(self._entries.__getitem__, self._keys._names))
@@ -119,9 +116,6 @@ class Quire:
     def items(self) -> list[tuple[str, Any]]:
         names = self._keys._names
         return list(zip(names, map(self._entries.__getitem__, names)))
-
-    def to_dict(self) -> dict[str, Any]:
-        return {n: self._entries[n] for n in self._keys.names}
 
     def __iter__(self) -> Iterator[Any]:
         return iter(self.values())

@@ -1,8 +1,9 @@
 """Locations, censuses, and runtime-checked membership/subset witnesses.
 
-A census is an ordered, duplicate-free set of locations.  Order matters: the
-loop operators (fanout, fanin, gather) iterate in census order, which is what
-makes whole runs deterministic for a fixed seed.
+A location is its name, a non-empty `str`.  A census is an ordered,
+duplicate-free set of location names.  Order matters: the loop operators
+(fanout, fanin, gather) iterate in census order, which is what makes whole
+runs deterministic for a fixed seed.
 
 Witnesses are fail-fast proofs: `member` and `subset` are the only
 constructors, and they validate the claimed relation when the witness is
@@ -33,59 +34,40 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Location:
-    """A participant, identified by name; equality is by name."""
-
-    name: str
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("location name must be non-empty")
-
-
 class Census:
-    """An ordered, duplicate-free set of locations.
+    """An ordered, duplicate-free set of location names.
 
     May be empty only when used as a degenerate loop subset (zero backups,
     zero senders); run censuses, enclave censuses, owner sets, and recipient
     sets must be non-empty and the operators enforce that.
     """
 
-    __slots__ = ("_members", "_positions", "_names")
+    __slots__ = ("_positions", "_names")
 
-    def __init__(self, members: tuple[Location, ...]):
+    def __init__(self, names: Iterable[str]):
+        names = tuple(names)
+        if not all(names):
+            raise ValueError("location name must be non-empty")
         positions: dict[str, int] = {}
-        for i, loc in enumerate(members):
-            if loc.name in positions:
-                raise DuplicateLocationError(f"duplicate location {loc.name!r}")
-            positions[loc.name] = i
-        self._members = members
+        for i, name in enumerate(names):
+            if name in positions:
+                raise DuplicateLocationError(f"duplicate location {name!r}")
+            positions[name] = i
         self._positions = positions
-        self._names = tuple(positions)
-
-    @property
-    def members(self) -> tuple[Location, ...]:
-        return self._members
+        self._names = names
 
     @property
     def names(self) -> tuple[str, ...]:
         return self._names
 
-    def position(self, name: str) -> int:
-        try:
-            return self._positions[name]
-        except KeyError:
-            raise NotAMemberError(f"{name!r} is not in census {self.names}") from None
-
     def __contains__(self, name: str) -> bool:
         return name in self._positions
 
-    def __iter__(self) -> Iterator[Location]:
-        return iter(self._members)
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names)
 
     def __len__(self) -> int:
-        return len(self._members)
+        return len(self._names)
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -93,7 +75,7 @@ class Census:
         return isinstance(other, Census) and self._names == other._names
 
     def __hash__(self) -> int:
-        return hash(self._members)
+        return hash(self._names)
 
     def __repr__(self) -> str:
         return f"Census{self.names!r}"
@@ -122,7 +104,7 @@ def census_of(names: Iterable[str]) -> Census:
         raise EmptyCensusError("a census must contain at least one location")
     census = _CENSUSES.get(key)
     if census is None:
-        census = _CENSUSES.setdefault(key, Census(tuple(Location(n) for n in key)))
+        census = _CENSUSES.setdefault(key, Census(key))
     return census
 
 
@@ -132,29 +114,24 @@ def _interned(census: Census) -> Census:
 
 @dataclass(frozen=True)
 class MembershipWitness:
-    """Proof that `location` sits at `index` of `census`.
+    """Proof that `location` is a member of `census`.
 
     Only `member` constructs these.  `alone` is the census of `location`
     alone, the owner set of a value computed there.
     """
 
-    location: Location
+    location: str
     census: Census
-    index: int
     alone: Census = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class SubsetWitness:
-    """Proof that every member of `sub` appears in `sup`.
-
-    `index_map[i]` is the position in `sup` of `sub.members[i]`.  Only
-    `subset` constructs these.
-    """
+    """Proof that every member of `sub` appears in `sup`.  Only `subset`
+    constructs these."""
 
     sub: Census
     sup: Census
-    index_map: tuple[int, ...]
 
 
 def member(name: str, census: Census) -> MembershipWitness:
@@ -162,10 +139,9 @@ def member(name: str, census: Census) -> MembershipWitness:
     key = (census._names, name)
     witness = _MEMBERS.get(key)
     if witness is None:
-        index = census.position(name)
-        witness = MembershipWitness(
-            census.members[index], _interned(census), index, census_of((name,))
-        )
+        if name not in census._positions:
+            raise NotAMemberError(f"{name!r} is not in census {census.names}")
+        witness = MembershipWitness(name, _interned(census), census_of((name,)))
         witness = _MEMBERS.setdefault(key, witness)
     return witness
 
@@ -175,7 +151,7 @@ def member_witnesses(census: Census) -> tuple[MembershipWitness, ...]:
     what a loop over the census hands each iteration."""
     witnesses = _LOOPS.get(census._names)
     if witnesses is None:
-        witnesses = tuple(member(loc.name, census) for loc in census.members)
+        witnesses = tuple(member(name, census) for name in census._names)
         witnesses = _LOOPS.setdefault(census._names, witnesses)
     return witnesses
 
@@ -187,13 +163,10 @@ def subset(sub: Census, sup: Census) -> SubsetWitness:
     witness = _SUBSETS.get(key)
     if witness is not None:
         return witness
-    index_map = []
-    for loc in sub.members:
-        if loc.name not in sup:
-            raise NotASubsetError(f"{loc.name!r} is not in census {sup.names}")
-        index_map.append(sup.position(loc.name))
-    witness = SubsetWitness(_interned(sub), _interned(sup), tuple(index_map))
-    return _SUBSETS.setdefault(key, witness)
+    for name in sub._names:
+        if name not in sup._positions:
+            raise NotASubsetError(f"{name!r} is not in census {sup.names}")
+    return _SUBSETS.setdefault(key, SubsetWitness(_interned(sub), _interned(sup)))
 
 
 def compose(m: MembershipWitness, s: SubsetWitness) -> MembershipWitness:
@@ -202,4 +175,4 @@ def compose(m: MembershipWitness, s: SubsetWitness) -> MembershipWitness:
         raise WitnessMismatchError(
             f"membership is over {m.census.names}, subset is from {s.sub.names}"
         )
-    return member(m.location.name, s.sup)
+    return member(m.location, s.sup)

@@ -10,6 +10,9 @@ and loop shapes, which every interpreter calls before its effects, so a broken
 contract raises the same error under each.  The runtime provides the concrete
 bundles, which supply only the effects.
 
+A location is its name, a `str`: a witness's `location`, an unwrapper's
+`location` and the first argument of a `parallel` body are that name.
+
 Global semantics, in one place:
 
 - locally(w, body)            body runs only at w's location; result owned by it.
@@ -32,7 +35,7 @@ Global semantics, in one place:
                               sub-choreography per looped location, aggregating
                               a Faceted (at the looped set) or a Quire (at the
                               recipients).
-- parallel(qs, body)          fanout of locally: per-location effectful bodies.
+- parallel(qs, body)          fanout of locally: body(loc, un) runs at each loc.
 - scatter(s, rs, v)           s holds a quire keyed by the recipients and sends
                               each its own leaf.
 - gather(qs, rs, f)           each sender multicasts its facet to the
@@ -115,7 +118,7 @@ class Unwrapper:
         if self._inputs is None:
             raise ContractError("replicated bodies have no input stream")
         if not self._inputs:
-            raise InputExhaustedError(f"input stream for {self.location.name!r} is empty")
+            raise InputExhaustedError(f"input stream for {self.location!r} is empty")
         return self._inputs.popleft()
 
     def __call__(self, value: Any) -> Any:
@@ -129,7 +132,7 @@ class Unwrapper:
             else:
                 raise ContractError(f"cannot unwrap {type(value).__name__}")
         if self._census_scope is None:
-            name = self.location.name
+            name = self.location
             if name not in value._owners._positions:
                 raise UnwrapAbsentError(
                     f"{name!r} does not own the value (owners: {value.owners.names})"
@@ -231,7 +234,7 @@ class OperatorBundle(ABC):
         self._require_subset(r)
         if not isinstance(v, MultiplyLocated):
             raise ContractError("multicast takes a multiply-located value")
-        sender = s.location.name
+        sender = s.location
         if sender not in v._owners._positions:
             raise NotAnOwnerError(f"{sender!r} does not own the value being sent")
         if not r.sub._names:
@@ -276,7 +279,7 @@ class OperatorBundle(ABC):
                 raise ContractError(
                     f"{op} iteration must yield a value located exactly at {owners}"
                 )
-            payloads[w.location.name] = ret._value
+            payloads[w.location] = ret._value
         return payloads
 
     def _check_flatten(self, outer: SubsetWitness, inner: SubsetWitness, v) -> None:
@@ -370,10 +373,8 @@ class OperatorBundle(ABC):
         self._require_subset(rs)
         if not isinstance(v, MultiplyLocated):
             raise ContractError("scatter takes a multiply-located quire")
-        if s.location.name not in v.owners:
-            raise NotAnOwnerError(
-                f"{s.location.name!r} does not own the quire being scattered"
-            )
+        if s.location not in v.owners:
+            raise NotAnOwnerError(f"{s.location!r} does not own the quire being scattered")
         keys = rs.sub
 
         def leaf_of(quire: Any, name: str) -> Any:
@@ -383,7 +384,7 @@ class OperatorBundle(ABC):
 
         def per(q_in_rs: MembershipWitness):
             q = compose(q_in_rs, rs)
-            qname = q.location.name
+            qname = q.location
 
             def chor(b: "OperatorBundle"):
                 leaf = b.locally(s, lambda un: leaf_of(un(v), qname))

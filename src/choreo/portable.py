@@ -18,7 +18,8 @@ pairs; use lists for variable-length sequences.  A value of an exact grammar
 type goes straight to its writer.  A subclass (a str subclass, a NamedTuple,
 an IntEnum) takes the general path: the first grammar type it is an instance
 of, in the order int, str, tuple, Variant, list, dict, writes the same bytes
-as the base value, and decode gives back the base type.
+as the base value, and decode gives back the base type.  decode reads a
+bytearray or a memoryview of bytes as the bytes it holds.
 """
 
 from __future__ import annotations
@@ -66,6 +67,10 @@ def decode(data: bytes) -> Any:
         value, offset = _read(data, 0)
     except (IndexError, struct.error):  # a tag, byte or count past the end
         raise DecodeError("truncated encoding") from None
+    except (AttributeError, TypeError):  # a bytes-like view: decode its bytes
+        if type(data) is bytes:
+            raise
+        return decode(memoryview(data).tobytes())
     if offset != len(data):
         raise DecodeError(f"{len(data) - offset} trailing bytes after value")
     return value

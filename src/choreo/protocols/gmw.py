@@ -211,15 +211,15 @@ def ot2(b: OperatorBundle, sender, receiver, pair, select):
     false, pair[1] if true.
     """
     names = b.census.names
-    if len(names) != 2 or {sender.location.name, receiver.location.name} != set(names):
+    if len(names) != 2 or {sender.location, receiver.location} != set(names):
         raise ContractError("oblivious transfer is a two-party protocol")
     alone = _each_alone(names)
 
     keys = b.locally(receiver, lambda un: _gen_keys(bool(un(select)), un.rng))
     published = b.locally(receiver, lambda un: un(keys)[:2])
-    at_sender = b.multicast(receiver, alone[sender.location.name], published)
+    at_sender = b.multicast(receiver, alone[sender.location], published)
     cipher = b.locally(sender, lambda un: _encrypt(un(at_sender), un(pair)))
-    at_receiver = b.multicast(sender, alone[receiver.location.name], cipher)
+    at_receiver = b.multicast(sender, alone[receiver.location], cipher)
     return b.locally(
         receiver, lambda un: _decrypt(un(keys), bool(un(select)), un(at_receiver))
     )
@@ -267,11 +267,11 @@ def f_and(b: OperatorBundle, u: Faceted, v: Faceted) -> Faceted:
     )
 
     def per_receiver(j_w):
-        j_name = j_w.location.name
+        j_name = j_w.location
 
         def collect(bb: OperatorBundle):
             def per_sender(i_w):
-                i_name = i_w.location.name
+                i_name = i_w.location
                 if i_name == j_name:
                     return lambda b2: b2.locally(j_w, lambda un: False)
                 two, outer, inner, i_in, j_in = witnesses[(i_name, j_name)]
@@ -297,7 +297,7 @@ def f_and(b: OperatorBundle, u: Faceted, v: Faceted) -> Faceted:
 
     def combine(loc, un):
         row = un(mask_rows)
-        off_row = [bit for name, bit in row.items() if name != loc.name]
+        off_row = [bit for name, bit in row.items() if name != loc]
         return xor_fold([bool(un(u)) and bool(un(v)), un(cross), *off_row])
 
     return b.parallel(b.everyone(), combine)
@@ -320,7 +320,7 @@ def _gmw(b: OperatorBundle, circuit: Circuit) -> Faceted:
         first = b.census.names[0]
 
         def per(q_w):
-            bit = circuit.bit if q_w.location.name == first else False
+            bit = circuit.bit if q_w.location == first else False
             return lambda bb: bb.locally(q_w, lambda un: bit)
 
         return b.fanout(b.everyone(), per)

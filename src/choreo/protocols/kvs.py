@@ -246,7 +246,7 @@ def kvs_poly(b: OperatorBundle, args: KvsArgs):
                     backups,
                     lambda loc, un: handle_put(
                         un(backup_stores), req.key, req.value,
-                        fail=loc.name in args.fail_backups,
+                        fail=loc in args.fail_backups,
                     ),
                 )
                 gathered = eb.gather(backups, eb.subset(["primary"]), oks)

@@ -104,7 +104,7 @@ def lottery(
 
     def per_server(s_in_servers):
         s = compose(s_in_servers, servers_sub)
-        s_name = s.location.name
+        s_name = s.location
 
         def collect(bb: OperatorBundle):
             def per_client(c_in_clients):
@@ -166,5 +166,5 @@ def _tampered(b: OperatorBundle, servers_sub, values: Faceted, tamper: Tamper | 
     if tamper is None or tamper.field != field:
         return values
     return b.parallel(
-        servers_sub, lambda loc, un: un(values) + int(loc.name == tamper.server)
+        servers_sub, lambda loc, un: un(values) + int(loc == tamper.server)
     )

@@ -38,8 +38,8 @@ class _CentralState:
     def __init__(self, census: Census, seed: int, inputs: dict):
         self.logs = {n: EndpointLog(n) for n in census.names}
         self.unwrappers = {
-            n: Unwrapper(loc, location_rng(seed, n), deque(inputs.get(n, [])), None)
-            for n, loc in zip(census.names, census.members)
+            n: Unwrapper(n, location_rng(seed, n), deque(inputs.get(n, [])), None)
+            for n in census.names
         }
         # one count per census context: its members always record together
         self.branch_counters: dict[tuple, int] = {}
@@ -52,7 +52,7 @@ class CentralBundle(OperatorBundle):
 
     def locally(self, w: MembershipWitness, body) -> MultiplyLocated:
         self._require_member(w)
-        name = w.location.name
+        name = w.location
         un = self._state.unwrappers[name]
         try:
             value = body(un)

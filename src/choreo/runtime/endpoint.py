@@ -27,7 +27,7 @@ from typing import Any
 
 from ..errors import WitnessMismatchError
 from ..located import ABSENT, Faceted, MultiplyLocated, Quire, _absent_at
-from ..locations import Census, Location, MembershipWitness, SubsetWitness
+from ..locations import Census, MembershipWitness, SubsetWitness
 from ..ops import OperatorBundle, Unwrapper, run_proc
 from ..portable import decode, encode
 from ..seeding import location_rng
@@ -42,7 +42,7 @@ class EndpointState:
     def __init__(self, name: str, transport: Transport, rng, inputs, log: EndpointLog):
         self.self_name = name
         self.transport = transport
-        self.unwrapper = Unwrapper(Location(name), rng, inputs, None)
+        self.unwrapper = Unwrapper(name, rng, inputs, None)
         self.log = log
         self.audit = log.audited
         self.clock = 0
@@ -98,7 +98,7 @@ class EndpointBundle(OperatorBundle):
     def locally(self, w: MembershipWitness, body) -> MultiplyLocated:
         self._require_member(w)
         state = self._state
-        if w.location.name == state.self_name:
+        if w.location == state.self_name:
             v = MultiplyLocated(w.alone, body(state.unwrapper))
         else:
             v = _absent_at(w.alone)

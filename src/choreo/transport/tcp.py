@@ -33,8 +33,8 @@ fails every receive from every peer that is pending or starts once the fault
 is seen, including frames of other peers that arrived but were not yet
 received: only frames that `recv` returned count as delivered.  A receive
 from a location outside the address book raises at once.  Set-up fails with
-TransportError, holding no socket, when a book entry's port is outside
-0-65535 or the own address cannot be bound.  No retries, no TLS, no
+TransportError, holding no socket, when a timeout is not positive, a book
+entry's port is outside 0-65535 or the own address cannot be bound.  No retries, no TLS, no
 partial-failure tolerance.
 """
 
@@ -175,6 +175,8 @@ class TcpTransport:
     ):
         if self_name not in address_book:
             raise TransportError(f"address book has no entry for {self_name!r}")
+        if not (recv_timeout > 0 and connect_timeout > 0):
+            raise TransportError("recv_timeout and connect_timeout must be positive")
         self.self_name = self_name
         self._addresses = {n: _parse_address(a) for n, a in address_book.items()}
         self._recv_timeout = recv_timeout

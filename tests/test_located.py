@@ -11,11 +11,11 @@ def test_quire_totality_and_order():
     q = Quire(keys, {"a": 1, "b": 2, "c": 3})
     assert q.values() == [2, 1, 3]  # census order, not alphabetical
     assert q.items()[0] == ("b", 2)
-    assert q["a"] == 1 and q.get("c") == 3
+    assert q["a"] == 1 and q["c"] == 3
     assert len(q) == 3
     assert list(q) == [2, 1, 3]
     assert q == Quire(keys, {"c": 3, "b": 2, "a": 1})
-    assert q.to_dict() == {"b": 2, "a": 1, "c": 3}
+    assert dict(q.items()) == {"b": 2, "a": 1, "c": 3}
 
 
 def test_quire_rejects_partial_or_extra_entries():
@@ -38,4 +38,4 @@ def test_quire_takes_any_mapping_and_keeps_its_own_copy():
     assert q.items() == [("b", 2), ("a", 1)]
     entries["a"] = 99
     del entries["b"]
-    assert q.values() == [2, 1] and q.to_dict() == {"b": 2, "a": 1}
+    assert q.values() == [2, 1] and dict(q.items()) == {"b": 2, "a": 1}

@@ -8,7 +8,6 @@ from choreo import (
     EMPTY,
     Census,
     Choreography,
-    Location,
     SubsetWitness,
     census_of,
     compose,
@@ -32,6 +31,7 @@ def test_census_of_order_and_contents():
     assert census.names == ("client", "primary", "backup")
     assert len(census) == 3
     assert "primary" in census and "mallory" not in census
+    assert list(census) == ["client", "primary", "backup"]
 
 
 def test_census_of_rejects_empty_and_duplicates():
@@ -41,11 +41,16 @@ def test_census_of_rejects_empty_and_duplicates():
         census_of(["a", "a"])
 
 
-def test_member_witness_index():
+def test_location_names_must_be_non_empty():
+    for build in (lambda: census_of([""]), lambda: Census(("",))):
+        with pytest.raises(ValueError, match="^location name must be non-empty$"):
+            build()
+
+
+def test_member_witness():
     census = census_of(["client", "primary", "backup"])
     w = member("primary", census)
-    assert w.index == 1 and w.location.name == "primary"
-    assert member("backup", census_of(["primary", "backup"])).index == 1
+    assert w.location == "primary" and w.census is census
     with pytest.raises(NotAMemberError):
         member("mallory", census)
 
@@ -54,19 +59,17 @@ def test_subset_witness():
     servers = census_of(["primary", "backup"])
     participants = census_of(["client", "primary", "backup"])
     s = subset(servers, participants)
-    assert s.index_map == (1, 2)
-    identity = subset(participants, participants)
-    assert identity.index_map == (0, 1, 2)
+    assert s.sub is servers and s.sup is participants
     with pytest.raises(NotASubsetError, match="client"):
         subset(census_of(["client"]), servers)
-    assert subset(EMPTY, servers).index_map == ()
+    assert subset(EMPTY, servers).sub is EMPTY
 
 
 def test_compose():
     servers = census_of(["primary", "backup"])
     participants = census_of(["client", "primary", "backup"])
     m = compose(member("backup", servers), subset(servers, participants))
-    assert m.index == 2 and m.census == participants
+    assert m.location == "backup" and m.census == participants
     # identity law
     p = member("primary", servers)
     assert compose(p, subset(servers, servers)) == p
@@ -84,15 +87,14 @@ def test_witness_soundness_property(listed, data):
     census = census_of(listed)
     name = data.draw(st.sampled_from(listed))
     w = member(name, census)
-    assert census.members[w.index].name == name
+    assert w.location == name and w.census is census
 
     take = data.draw(st.lists(st.sampled_from(listed), max_size=len(listed), unique=True))
-    sub = Census(tuple(census.members[census.position(n)] for n in take))
+    sub = Census(take)
     s = subset(sub, census)
-    for i, loc in enumerate(sub.members):
-        assert census.members[s.index_map[i]] == loc
+    for loc in sub:
         # composition law: compose(member(p, A), subset(A, B)) == member(p, B)
-        assert compose(member(loc.name, sub), s) == member(loc.name, census)
+        assert compose(member(loc, sub), s) == member(loc, census)
 
 
 def test_census_names_is_one_tuple_in_census_order():
@@ -100,10 +102,10 @@ def test_census_names_is_one_tuple_in_census_order():
     assert c.names == ("carol", "alice", "bob")
     assert c.names is c.names
     assert EMPTY.names == () and EMPTY.names is EMPTY.names
-    # equality, hashing and repr are still those of the member tuple
+    # equality, hashing and repr are those of the name tuple
     assert c == census_of(["carol", "alice", "bob"])
     assert c != census_of(["alice", "bob", "carol"])
-    assert hash(c) == hash(c.members)
+    assert hash(c) == hash(c.names)
     assert repr(c) == "Census('carol', 'alice', 'bob')"
     assert EMPTY == Census(()) and hash(EMPTY) == hash(())
     assert repr(EMPTY) == "Census()"
@@ -115,7 +117,7 @@ def test_census_names_is_one_tuple_in_census_order():
 def test_census_of_interns_and_direct_censuses_still_equal():
     c = census_of(["carol", "alice"])
     assert census_of(("carol", "alice")) is c
-    direct = Census((Location("carol"), Location("alice")))
+    direct = Census(("carol", "alice"))
     assert direct is not c
     assert direct == c and c == direct and hash(direct) == hash(c)
     assert direct != census_of(["alice", "carol"])
@@ -137,11 +139,11 @@ def test_a_warm_witness_cache_still_rejects_a_non_subset():
 def test_cached_witness_equals_a_freshly_validated_one(listed, data):
     sup = census_of(listed)
     take = data.draw(st.lists(st.sampled_from(listed), max_size=len(listed), unique=True))
-    direct = Census(tuple(Location(n) for n in take))
+    direct = Census(take)
     first = subset(direct, sup)
     again = subset(census_of(take) if take else EMPTY, sup)
     assert again is first
-    fresh = SubsetWitness(direct, sup, tuple(listed.index(n) for n in take))
+    fresh = SubsetWitness(direct, sup)
     assert again == fresh
     assert again.sub.names == tuple(take) and again.sup is sup
 
@@ -159,9 +161,9 @@ def test_a_repeated_oracle_run_builds_no_census(monkeypatch):
     built = []
     init = Census.__init__
 
-    def counting(self, members):
-        built.append(tuple(loc.name for loc in members))
-        init(self, members)
+    def counting(self, names):
+        built.append(tuple(names))
+        init(self, names)
 
     monkeypatch.setattr(Census, "__init__", counting)
     second = run()
@@ -195,15 +197,15 @@ def test_loop_witnesses_are_shared_across_runs():
     run_centralized(chor, census).require_success()
     assert tuple(handed[:3]) == member_witnesses(census)
     assert all(a is b for a, b in zip(handed[:3], handed[3:]))
-    assert all(w is member(w.location.name, census) for w in handed)
-    assert member_witnesses(Census(census.members)) is member_witnesses(census)
+    assert all(w is member(w.location, census) for w in handed)
+    assert member_witnesses(Census(census.names)) is member_witnesses(census)
 
 
 def test_a_warm_member_cache_still_rejects_a_non_member():
     census = census_of(["alice", "bob"])
     member("alice", census)
     member_witnesses(census)
-    direct = Census((Location("alice"), Location("bob")))
+    direct = Census(("alice", "bob"))
     for _ in range(2):
         with pytest.raises(NotAMemberError, match="mallory"):
             member("mallory", census)

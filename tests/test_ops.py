@@ -7,7 +7,6 @@ from conftest import run_agreeing
 from choreo import (
     Census,
     Choreography,
-    Location,
     census_of,
     project_and_run,
     run_centralized,
@@ -236,7 +235,7 @@ def test_fanin_collects_in_order():
     def chor(b, args):
         def per(q_w):
             def send(bb):
-                v = bb.locally(q_w, lambda un: q_w.location.name.upper())
+                v = bb.locally(q_w, lambda un: q_w.location.upper())
                 return bb.multicast(q_w, bb.subset(["r"]), v)
 
             return send
@@ -261,7 +260,7 @@ def test_fanin_collects_in_order():
 
 def test_parallel_facets_differ():
     def chor(b, args):
-        return b.parallel(b.everyone(), lambda loc, un: loc.name * 2)
+        return b.parallel(b.everyone(), lambda loc, un: loc * 2)
 
     central, simulated = run_agreeing(chor, PCH)
     assert len(simulated.messages) == 0
@@ -319,7 +318,7 @@ def test_scatter_four_recipients_three_messages():
 
 def test_gather_counts_and_order():
     def chor(b, args):
-        facets = b.parallel(b.everyone(), lambda loc, un: loc.name)
+        facets = b.parallel(b.everyone(), lambda loc, un: loc)
         return b.gather(b.everyone(), b.subset(["q"]), facets)
 
     central, simulated = run_agreeing(chor, PCH)
@@ -327,7 +326,7 @@ def test_gather_counts_and_order():
     assert central.result_view("q")["value"]["quire"] == [["p", "p"], ["q", "q"], ["r", "r"]]
 
     def to_all(b, args):
-        facets = b.parallel(b.everyone(), lambda loc, un: loc.name)
+        facets = b.parallel(b.everyone(), lambda loc, un: loc)
         return b.gather(b.everyone(), b.everyone(), facets)
 
     _, simulated = run_agreeing(to_all, PCH)
@@ -367,7 +366,7 @@ def test_reshaping_accepts_a_census_built_directly(run):
     # directly as a Census with the same names must still pass through the
     # equality fallback of flatten, others_forget and naked.
     def direct(*names):
-        return Census(tuple(Location(n) for n in names))
+        return Census(names)
 
     def chor(b, args):
         pq = direct("p", "q")

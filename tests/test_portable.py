@@ -108,6 +108,16 @@ def test_roundtrip_property(value):
     data = encode(value)
     assert decode(data) == value
     assert encode(value) == data
+    # a bytes-like view of the same bytes decodes to the same value
+    assert decode(memoryview(data)) == value and decode(bytearray(data)) == value
+
+
+def test_views_decode_as_their_bytes():
+    for value in ("text", {"a": 1, "b": [2, "c"], "d": None}, [True, ("x", -1)]):
+        data = encode(value)
+        for view in (memoryview(data), bytearray(data), memoryview(bytearray(data))):
+            back = decode(view)
+            assert back == value and type(back) is type(value)
 
 
 INT64_EDGES = (-(1 << 63), -(1 << 63) + 1, -1, 0, 1, 2, (1 << 63) - 2, (1 << 63) - 1)
@@ -187,11 +197,17 @@ def test_subclasses_encode_as_their_base_values(value, base):
     (b"\x06\x00\x00\x00\x01", "truncated encoding"),
     (b"\x01\x01\x00", "1 trailing bytes after value"),
     (b"\x04\x01\x01\x01\x07", "bad boolean byte 7"),
+    (b"\x03\x00\x00\x00\x01\xff", "invalid UTF-8 in text value: 'utf-8' codec can't decode "
+     "byte 0xff in position 0: invalid start byte"),
+    (b"\x07\x00\x00\x00\x02" + encode("b") + encode(1) + encode("a") + encode(2),
+     "map keys not in canonical order"),
 ])
 def test_malformed_input_gives_its_error_text(data, text):
-    with pytest.raises(DecodeError) as info:
-        decode(data)
-    assert str(info.value) == text
+    # bytes, and a bytes-like view of them, fail alike
+    for view in (data, memoryview(data), bytearray(data)):
+        with pytest.raises(DecodeError) as info:
+            decode(view)
+        assert str(info.value) == text
 
 
 @pytest.mark.parametrize("value", [(1, 2, 3), (), ("one",), _Pair("k", 1) + (2,)])

@@ -102,7 +102,7 @@ def test_non_owners_share_one_absent_value_per_owner_set():
     ran, seen = [], {}
 
     def body(un):
-        ran.append(un.location.name)
+        ran.append(un.location)
         return 1
 
     def chor(b, args):
@@ -381,7 +381,7 @@ def test_centralized_failure_tags_the_raising_endpoint():
 def test_simulated_partial_failure_is_per_endpoint():
     def chor(b, args):
         def maybe_boom(loc, un):
-            if loc.name == "b":
+            if loc == "b":
                 raise CommitmentFailed("nope")
             return 0
 

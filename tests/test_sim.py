@@ -204,7 +204,7 @@ def _failing_runs():
 
     def crash_then_stall(b, args):
         def maybe_boom(loc, un):
-            if loc.name == "b":
+            if loc == "b":
                 raise CommitmentFailed("nope")
             return 0
 

@@ -482,13 +482,22 @@ def test_a_silent_unnamed_connection_does_not_hold_up_a_real_peer():
         tb.close()
 
 
-@pytest.mark.parametrize("own,peer,match", [
-    ("taken", None, "cannot listen as 'a' at 127.0.0.1:"),
-    ("127.0.0.1:70000", None, "bad port in address '127.0.0.1:70000'"),
-    (None, "127.0.0.1:70000", "bad port in address '127.0.0.1:70000'"),
-    ("192.0.2.1:5000", None, "cannot listen as 'a' at 192.0.2.1:5000"),
-], ids=["taken-port", "own-port-out-of-range", "peer-port-out-of-range", "address-not-local"])
-def test_set_up_errors_are_transport_errors_and_leak_no_socket(own, peer, match):
+TIMEOUTS_MUST_BE_POSITIVE = "recv_timeout and connect_timeout must be positive"
+
+
+@pytest.mark.parametrize("own,peer,timeouts,match", [
+    ("taken", None, {}, "cannot listen as 'a' at 127.0.0.1:"),
+    ("127.0.0.1:70000", None, {}, "bad port in address '127.0.0.1:70000'"),
+    (None, "127.0.0.1:70000", {}, "bad port in address '127.0.0.1:70000'"),
+    ("192.0.2.1:5000", None, {}, "cannot listen as 'a' at 192.0.2.1:5000"),
+    (None, None, {"recv_timeout": -1}, TIMEOUTS_MUST_BE_POSITIVE),
+    (None, None, {"recv_timeout": 0}, TIMEOUTS_MUST_BE_POSITIVE),
+    (None, None, {"recv_timeout": float("nan")}, TIMEOUTS_MUST_BE_POSITIVE),
+    (None, None, {"connect_timeout": 0}, TIMEOUTS_MUST_BE_POSITIVE),
+], ids=["taken-port", "own-port-out-of-range", "peer-port-out-of-range", "address-not-local",
+        "negative-recv-timeout", "zero-recv-timeout", "nan-recv-timeout",
+        "zero-connect-timeout"])
+def test_set_up_errors_are_transport_errors_and_leak_no_socket(own, peer, timeouts, match):
     holder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)  # holds the taken port
     holder.bind(("127.0.0.1", 0))
     holder.listen()
@@ -499,7 +508,7 @@ def test_set_up_errors_are_transport_errors_and_leak_no_socket(own, peer, match)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(TransportError, match=match):
-                TcpTransport("a", book)
+                TcpTransport("a", book, **timeouts)
             gc.collect()
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
     finally:
