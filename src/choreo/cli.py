@@ -25,6 +25,7 @@ from .runtime import EndpointLog, RunReport, run_centralized, run_simulated
 from .runtime.endpoint import run_endpoint
 from .runtime.views import view_json
 from .transport import TcpTransport
+from .transport.tcp import _TIMEOUT_MAX_S
 
 
 def _read(path: str) -> str:
@@ -109,8 +110,8 @@ def _write_report(path: str | None, report) -> None:
 
 
 def _cmd_run(ns) -> int:
-    if ns.step_budget < 1 or not ns.recv_timeout > 0:
-        raise ConfigError("--step-budget must be >= 1 and --recv-timeout > 0")
+    if ns.step_budget < 1 or not 0 < ns.recv_timeout <= _TIMEOUT_MAX_S:
+        raise ConfigError(f"need --step-budget >= 1 and 0 < --recv-timeout <= {_TIMEOUT_MAX_S:.0f}")
     ex = _load_example(ns)
     if ns.mode == "centralized":
         report = run_centralized(

@@ -55,14 +55,12 @@ class MultiplyLocated:
         return f"<Located {list(self._owners.names)}>"
 
 
-_ABSENT_AT: dict[tuple[str, ...], MultiplyLocated] = {}
+_ABSENT_AT: dict[Census, MultiplyLocated] = {}
 
 
 def _absent_at(owners: Census) -> MultiplyLocated:
-    """The one shared `MultiplyLocated(owners, ABSENT)`, keyed by the owner
-    names because hashing a Census is a Python-level call."""
-    key = owners._names
-    return _ABSENT_AT.get(key) or _ABSENT_AT.setdefault(key, MultiplyLocated(owners, ABSENT))
+    """The one shared `MultiplyLocated(owners, ABSENT)`."""
+    return _ABSENT_AT.get(owners) or _ABSENT_AT.setdefault(owners, MultiplyLocated(owners, ABSENT))
 
 
 class Faceted:

@@ -9,15 +9,15 @@ Witnesses are fail-fast proofs: `member` and `subset` are the only
 constructors, and they validate the claimed relation when the witness is
 built, so any witness that exists is sound.
 
-Censuses are interned by their name tuple: `census_of` returns one shared
-`Census` per tuple, and a witness is validated once, the first time `member`
-or `subset` is asked for it, then kept frozen and handed out again; `compose`
-and `member_witnesses` (the witnesses a loop hands its iterations) return
-those same witnesses.  So narrowing to or looping over a census a run has
-seen before builds no census or witness, and comparing two censuses is
-usually an identity check.  A `Census` built directly still equals the
-interned one with the same names.  The tables hold only immutable values and
-grow with the distinct censuses a program names.
+There is one `Census` per name tuple: `Census(names)` and `census_of` hand
+out the same object for the same names, so equality and hashing are identity,
+and a copy or a pickle of a census gives back that census.  A witness is
+validated once, the first time `member` or `subset` is asked for it, then kept
+frozen and handed out again; `compose` and `member_witnesses` (the witnesses a
+loop hands its iterations) return those same witnesses.  So narrowing to or
+looping over a census a run has seen before builds no census or witness.  The
+tables hold only immutable values and grow with the distinct censuses a
+program names.
 """
 
 from __future__ import annotations
@@ -35,26 +35,37 @@ from .errors import (
 
 
 class Census:
-    """An ordered, duplicate-free set of location names.
+    """An ordered, duplicate-free set of location names, one per name tuple.
 
-    May be empty only when used as a degenerate loop subset (zero backups,
-    zero senders); run censuses, enclave censuses, owner sets, and recipient
-    sets must be non-empty and the operators enforce that.
+    `Census(names)` validates the names the first time it sees them and
+    returns the same census for them ever after: equality and hash are
+    identity, and copies and pickles give back the same census.  May be empty
+    only when used as a degenerate loop subset (zero backups, zero senders);
+    run censuses, enclave censuses, owner sets, and recipient sets must be
+    non-empty and the operators enforce that.
     """
 
     __slots__ = ("_positions", "_names")
 
-    def __init__(self, names: Iterable[str]):
-        names = tuple(names)
-        if not all(names):
-            raise ValueError("location name must be non-empty")
-        positions: dict[str, int] = {}
-        for i, name in enumerate(names):
-            if name in positions:
-                raise DuplicateLocationError(f"duplicate location {name!r}")
-            positions[name] = i
-        self._positions = positions
-        self._names = names
+    def __new__(cls, names: Iterable[str]) -> Census:
+        key = tuple(names)
+        census = _CENSUSES.get(key)
+        if census is None:
+            if not all(key):
+                raise ValueError("location name must be non-empty")
+            positions: dict[str, int] = {}
+            for i, name in enumerate(key):
+                if name in positions:
+                    raise DuplicateLocationError(f"duplicate location {name!r}")
+                positions[name] = i
+            census = object.__new__(cls)
+            census._positions = positions
+            census._names = key
+            census = _CENSUSES.setdefault(key, census)
+        return census
+
+    def __reduce__(self):
+        return Census, (self._names,)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -69,28 +80,19 @@ class Census:
     def __len__(self) -> int:
         return len(self._names)
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return isinstance(other, Census) and self._names == other._names
-
-    def __hash__(self) -> int:
-        return hash(self._names)
-
     def __repr__(self) -> str:
         return f"Census{self.names!r}"
 
 
+# name tuple -> its one Census
+_CENSUSES: dict[tuple[str, ...], Census] = {}
 EMPTY = Census(())
-
-# name tuple -> its one shared Census
-_CENSUSES: dict[tuple[str, ...], Census] = {(): EMPTY}
-# (census names, location name) and (sub names, sup names) -> the witness
-# validated when first asked for
-_MEMBERS: dict[tuple[tuple[str, ...], str], MembershipWitness] = {}
-_SUBSETS: dict[tuple[tuple[str, ...], tuple[str, ...]], SubsetWitness] = {}
-# census names -> the membership witness of each member, in census order
-_LOOPS: dict[tuple[str, ...], tuple[MembershipWitness, ...]] = {}
+# (census, location name) and (sub, sup) -> the witness validated when first
+# asked for
+_MEMBERS: dict[tuple[Census, str], MembershipWitness] = {}
+_SUBSETS: dict[tuple[Census, Census], SubsetWitness] = {}
+# census -> the membership witness of each member, in census order
+_LOOPS: dict[Census, tuple[MembershipWitness, ...]] = {}
 
 
 def census_of(names: Iterable[str]) -> Census:
@@ -103,13 +105,7 @@ def census_of(names: Iterable[str]) -> Census:
     if not key:
         raise EmptyCensusError("a census must contain at least one location")
     census = _CENSUSES.get(key)
-    if census is None:
-        census = _CENSUSES.setdefault(key, Census(key))
-    return census
-
-
-def _interned(census: Census) -> Census:
-    return _CENSUSES.setdefault(census._names, census)
+    return census if census is not None else Census(key)
 
 
 @dataclass(frozen=True)
@@ -136,42 +132,41 @@ class SubsetWitness:
 
 def member(name: str, census: Census) -> MembershipWitness:
     """Witness that `name` belongs to `census`; raises NotAMemberError."""
-    key = (census._names, name)
+    key = (census, name)
     witness = _MEMBERS.get(key)
     if witness is None:
         if name not in census._positions:
             raise NotAMemberError(f"{name!r} is not in census {census.names}")
-        witness = MembershipWitness(name, _interned(census), census_of((name,)))
-        witness = _MEMBERS.setdefault(key, witness)
+        witness = _MEMBERS.setdefault(key, MembershipWitness(name, census, Census((name,))))
     return witness
 
 
 def member_witnesses(census: Census) -> tuple[MembershipWitness, ...]:
     """The membership witness of every member of `census`, in census order:
     what a loop over the census hands each iteration."""
-    witnesses = _LOOPS.get(census._names)
+    witnesses = _LOOPS.get(census)
     if witnesses is None:
         witnesses = tuple(member(name, census) for name in census._names)
-        witnesses = _LOOPS.setdefault(census._names, witnesses)
+        witnesses = _LOOPS.setdefault(census, witnesses)
     return witnesses
 
 
 def subset(sub: Census, sup: Census) -> SubsetWitness:
     """Witness that `sub` is contained in `sup`; raises NotASubsetError
     naming the first offending location."""
-    key = (sub._names, sup._names)
+    key = (sub, sup)
     witness = _SUBSETS.get(key)
     if witness is not None:
         return witness
     for name in sub._names:
         if name not in sup._positions:
             raise NotASubsetError(f"{name!r} is not in census {sup.names}")
-    return _SUBSETS.setdefault(key, SubsetWitness(_interned(sub), _interned(sup)))
+    return _SUBSETS.setdefault(key, SubsetWitness(sub, sup))
 
 
 def compose(m: MembershipWitness, s: SubsetWitness) -> MembershipWitness:
     """From p in A and A subset-of B, derive p in B."""
-    if m.census is not s.sub and m.census != s.sub:
+    if m.census is not s.sub:
         raise WitnessMismatchError(
             f"membership is over {m.census.names}, subset is from {s.sub.names}"
         )

@@ -69,11 +69,9 @@ from .errors import (
 )
 from .located import Faceted, MultiplyLocated, Quire
 from .locations import (
-    EMPTY,
     Census,
     MembershipWitness,
     SubsetWitness,
-    census_of,
     compose,
     member,
     member_witnesses,
@@ -147,7 +145,7 @@ class Unwrapper:
 
 
 def _check_declared(c: Choreography, census: Census, verb: str) -> None:
-    if c.census is not None and c.census != census:
+    if c.census is not None and c.census is not census:
         raise WitnessMismatchError(
             f"choreography declared census {c.census.names}, {verb} {census.names}"
         )
@@ -193,32 +191,22 @@ class OperatorBundle(ABC):
         return member(name, self._census)
 
     def subset(self, names: Iterable[str] | Census) -> SubsetWitness:
-        if isinstance(names, Census):
-            return subset(names, self._census)
-        listed = tuple(names)
-        return subset(census_of(listed) if listed else EMPTY, self._census)
+        return subset(names if isinstance(names, Census) else Census(names), self._census)
 
     def everyone(self) -> SubsetWitness:
         return subset(self._census, self._census)
 
-    # Censuses are interned, so the identity test settles almost every check
-    # here and in the operator checks below without a Python-level call to
-    # Census.__eq__, which `!=` would make; `!=` still decides for a Census
-    # built directly.  For the same reason the hot checks read `_positions`
-    # and `_names`: `in` and `len` on a Census are Python-level calls.
+    # The hot checks read `_positions` and `_names`: `in` and `len` on a
+    # Census are Python-level calls.
 
     def _require_member(self, w: MembershipWitness) -> None:
-        if not isinstance(w, MembershipWitness) or (
-            w.census is not self._census and w.census != self._census
-        ):
+        if not isinstance(w, MembershipWitness) or w.census is not self._census:
             raise WitnessMismatchError(
                 f"membership witness is not for the current census {self._census.names}"
             )
 
     def _require_subset(self, s: SubsetWitness) -> None:
-        if not isinstance(s, SubsetWitness) or (
-            s.sup is not self._census and s.sup != self._census
-        ):
+        if not isinstance(s, SubsetWitness) or s.sup is not self._census:
             raise WitnessMismatchError(
                 f"subset witness is not into the current census {self._census.names}"
             )
@@ -287,9 +275,9 @@ class OperatorBundle(ABC):
             raise ContractError("flatten takes a multiply-located value")
         if not (isinstance(outer, SubsetWitness) and isinstance(inner, SubsetWitness)):
             raise WitnessMismatchError("flatten takes subset witnesses")
-        if outer.sup is not v._owners and outer.sup != v._owners:
+        if outer.sup is not v._owners:
             raise WitnessMismatchError("outer witness must target the value's owners")
-        if outer.sub is not inner.sub and outer.sub != inner.sub:
+        if outer.sub is not inner.sub:
             raise WitnessMismatchError("flatten witnesses must share the narrowed set")
         if not outer.sub._names:
             raise EmptyCensusError("cannot flatten to an empty owner set")
@@ -298,7 +286,7 @@ class OperatorBundle(ABC):
         """Checks flatten's payload where it is present; returns the inner one."""
         if not isinstance(payload, MultiplyLocated):
             raise ContractError("flatten needs a nested located value")
-        if inner.sup is not payload._owners and inner.sup != payload._owners:
+        if inner.sup is not payload._owners:
             raise WitnessMismatchError("inner witness must target the nested owners")
         return payload._value
 
@@ -307,7 +295,7 @@ class OperatorBundle(ABC):
             raise ContractError("others_forget takes a multiply-located value")
         if not isinstance(t, SubsetWitness):
             raise WitnessMismatchError("others_forget takes a subset witness")
-        if t.sup is not v._owners and t.sup != v._owners:
+        if t.sup is not v._owners:
             raise WitnessMismatchError("witness must target the value's owners")
         if not t.sub._names:
             raise EmptyCensusError("cannot shrink ownership to the empty set")
@@ -378,7 +366,7 @@ class OperatorBundle(ABC):
         keys = rs.sub
 
         def leaf_of(quire: Any, name: str) -> Any:
-            if not isinstance(quire, Quire) or quire.keys != keys:
+            if not isinstance(quire, Quire) or quire.keys is not keys:
                 raise ContractError("scattered payload must be a quire keyed by the recipients")
             return quire[name]
 
@@ -399,7 +387,7 @@ class OperatorBundle(ABC):
     ) -> MultiplyLocated:
         self._require_subset(qs)
         self._require_subset(rs)
-        if not isinstance(f, Faceted) or f.owners != qs.sub:
+        if not isinstance(f, Faceted) or f.owners is not qs.sub:
             raise ContractError("gather takes a faceted value owned exactly by the senders")
 
         def per(q_in_qs: MembershipWitness):

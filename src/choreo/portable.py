@@ -18,8 +18,9 @@ pairs; use lists for variable-length sequences.  A value of an exact grammar
 type goes straight to its writer.  A subclass (a str subclass, a NamedTuple,
 an IntEnum) takes the general path: the first grammar type it is an instance
 of, in the order int, str, tuple, Variant, list, dict, writes the same bytes
-as the base value, and decode gives back the base type.  decode reads a
-bytearray or a memoryview of bytes as the bytes it holds.
+as the base value, and decode gives back the base type.  decode reads any
+other bytes-like object (a bytearray, a memoryview, an array) as the bytes it
+holds.
 """
 
 from __future__ import annotations
@@ -61,16 +62,14 @@ def encode(value: Any) -> bytes:
 
 
 def decode(data: bytes) -> Any:
+    if type(data) is not bytes:
+        data = memoryview(data).tobytes()
     if len(data) == 2 and data[0] == TAG_BOOL and data[1] < 2:
         return data[1] == 1
     try:
         value, offset = _read(data, 0)
     except (IndexError, struct.error):  # a tag, byte or count past the end
         raise DecodeError("truncated encoding") from None
-    except (AttributeError, TypeError):  # a bytes-like view: decode its bytes
-        if type(data) is bytes:
-            raise
-        return decode(memoryview(data).tobytes())
     if offset != len(data):
         raise DecodeError(f"{len(data) - offset} trailing bytes after value")
     return value

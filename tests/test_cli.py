@@ -170,12 +170,14 @@ def test_examples_reject_options_they_do_not_take(name):
     ["run", "--example", "kvs-enclave", "--step-budget", "-3"],
     ["run", "--example", "kvs-enclave", "--recv-timeout", "0"],
     ["run", "--example", "kvs-enclave", "--mode", "endpoint", "--recv-timeout", "-1"],
+    ["run", "--example", "kvs-enclave", "--recv-timeout", "inf"],
 ], ids=["unused-fail-puts", "unused-backups", "unused-inputs",
         "missing-script-run", "missing-script-count", "unknown-lottery-client",
         "unknown-gmw-party", "unknown-kvs-backup", "unknown-tamper-server",
         "gmw-zero-parties", "gmw-negative-parties", "conformance-zero-parties",
         "conformance-negative-parties", "unwritable-report", "zero-step-budget",
-        "negative-step-budget", "zero-recv-timeout", "negative-recv-timeout"])
+        "negative-step-budget", "zero-recv-timeout", "negative-recv-timeout",
+        "infinite-recv-timeout"])
 def test_unused_flags_and_unreadable_files_are_config_errors(argv, tmp_path, capsys):
     missing = str(tmp_path / "missing.txt")
     status, out, err = run_cli([a.replace("MISSING", missing) for a in argv], capsys)

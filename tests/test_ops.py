@@ -1,6 +1,8 @@
 """Operator semantics: message counts, ownership, errors, and cross-mode
 agreement for each operator of the bundle."""
 
+from functools import partial
+
 import pytest
 from conftest import run_agreeing
 
@@ -17,6 +19,7 @@ from choreo.errors import (
     CensusNotOwnedError,
     ContractError,
     EmptyCensusError,
+    InputExhaustedError,
     NotAnOwnerError,
     UnwrapAbsentError,
     WitnessMismatchError,
@@ -161,6 +164,27 @@ def test_enclave_silence_and_identity():
     central, simulated = run_agreeing(identity, PCH)
     assert len(simulated.messages) == 0
     assert central.result_view("p") == {"located": ["p", "q", "r"], "value": 3}
+
+
+def test_sub_choreographies_may_be_declared_or_any_callable():
+    # an enclave takes a Choreography declaring the narrowed census, and an
+    # enclave or a fanout takes a callable that is not a plain function
+    def at(name, b):
+        return b.locally(b.member(name), lambda un: name)
+
+    def chor(b, args):
+        servers = b.subset(["q", "r"])
+        declared = b.enclave(servers, Choreography(lambda eb, a: 4, census=servers.sub))
+        called = b.enclave(servers, partial(at, "r"))
+        facets = b.fanout(b.everyone(), lambda w: partial(at, w.location))
+        return [declared, called, facets]
+
+    central, _ = run_agreeing(chor, PCH)
+    assert central.result_view("r") == [
+        {"located": ["q", "r"], "value": 4},
+        {"located": ["q", "r"], "value": {"located": ["r"], "value": "r"}},
+        {"faceted": ["p", "q", "r"], "facet": "r"},
+    ]
 
 
 def test_sequential_enclaves_reuse_decision_without_messages():
@@ -362,15 +386,14 @@ def test_flatten_and_others_forget():
 
 @RUNNERS
 def test_reshaping_accepts_a_census_built_directly(run):
-    # Interned censuses are compared by identity first; an owner set built
-    # directly as a Census with the same names must still pass through the
-    # equality fallback of flatten, others_forget and naked.
+    # A Census built directly is the census of its names, so owner sets built
+    # that way pass the identity checks of flatten, others_forget and naked.
     def direct(*names):
         return Census(names)
 
     def chor(b, args):
         pq = direct("p", "q")
-        assert pq is not census_of(["p", "q"])
+        assert pq is census_of(["p", "q"])
         q_in_pq = subset(census_of(["q"]), census_of(["p", "q"]))
         flat = b.flatten(q_in_pq, q_in_pq, MultiplyLocated(pq, MultiplyLocated(pq, 5)))
         kept = b.others_forget(q_in_pq, MultiplyLocated(pq, 6))
@@ -462,6 +485,23 @@ def _forget_off_owners(b, args):
     return b.others_forget(b.subset(["p"]), v)
 
 
+def _replicated_reads_rng(b, args):
+    return b.replicated(lambda un: un.rng)
+
+
+def _replicated_reads_input(b, args):
+    return b.replicated(lambda un: un.next_input())
+
+
+def _replicated_unwraps_a_bare_value(b, args):
+    return b.replicated(lambda un: un(42))
+
+
+def _replicated_unwraps_a_faceted_value(b, args):
+    f = b.parallel(b.everyone(), lambda name, un: name)
+    return b.replicated(lambda un: un(f))
+
+
 @RUNNERS
 @pytest.mark.parametrize(
     "chor, error",
@@ -479,10 +519,24 @@ def _forget_off_owners(b, args):
         (_flatten_not_nested, ContractError),
         (_forget_to_nobody, EmptyCensusError),
         (_forget_off_owners, WitnessMismatchError),
+        (_replicated_reads_rng, ContractError),
+        (_replicated_reads_input, ContractError),
+        (_replicated_unwraps_a_bare_value, ContractError),
+        (_replicated_unwraps_a_faceted_value, UnwrapAbsentError),
     ],
 )
 def test_contract_violations_fail_at_every_endpoint(run, chor, error):
     _fails_everywhere(run(chor, PCH), error)
+
+
+@RUNNERS
+def test_reading_past_the_input_stream_fails_at_the_reader(run):
+    def chor(b, args):
+        return b.locally(b.member("q"), lambda un: [un.next_input(), un.next_input()])
+
+    error = run(chor, PCH, inputs={"q": [1]}).errors()["q"]
+    assert isinstance(error, InputExhaustedError)
+    assert str(error) == "input stream for 'q' is empty"
 
 
 @RUNNERS

@@ -1,5 +1,6 @@
 import enum
 import struct
+from array import array
 from typing import NamedTuple
 
 import pytest
@@ -196,6 +197,7 @@ def test_subclasses_encode_as_their_base_values(value, base):
     (b"\x05", "truncated encoding"),
     (b"\x06\x00\x00\x00\x01", "truncated encoding"),
     (b"\x01\x01\x00", "1 trailing bytes after value"),
+    (encode(5) + bytes(7), "7 trailing bytes after value"),
     (b"\x04\x01\x01\x01\x07", "bad boolean byte 7"),
     (b"\x03\x00\x00\x00\x01\xff", "invalid UTF-8 in text value: 'utf-8' codec can't decode "
      "byte 0xff in position 0: invalid start byte"),
@@ -204,7 +206,8 @@ def test_subclasses_encode_as_their_base_values(value, base):
 ])
 def test_malformed_input_gives_its_error_text(data, text):
     # bytes, and a bytes-like view of them, fail alike
-    for view in (data, memoryview(data), bytearray(data)):
+    wide = [array("H", data)] if len(data) % 2 == 0 else []
+    for view in [data, memoryview(data), bytearray(data)] + wide:
         with pytest.raises(DecodeError) as info:
             decode(view)
         assert str(info.value) == text

@@ -20,6 +20,7 @@ from choreo.errors import CommitmentFailed, StepBudgetExceeded, WitnessMismatchE
 from choreo.conformance import _equivalence_examples, compare_runs
 from choreo.examples import build_example, example_names
 from choreo.located import _ABSENT_AT, ABSENT
+from choreo.portable import Variant
 from choreo.runtime import (
     BranchRecord,
     EndpointLog,
@@ -51,6 +52,16 @@ def test_singleton_pure_choreography_is_plain_evaluation():
     central, simulated = run_agreeing(chor, solo, args=21)
     assert len(simulated.messages) == 0
     assert central.result_view("only") == {"located": ["only"], "value": 42}
+
+
+def test_views_of_variants_bytes_censuses_and_other_values_agree():
+    def chor(b, args):
+        return b.locally(b.member("a"), lambda un: [Variant(3, "x"), b"\x00\xff", THREE, 0.5])
+
+    central, _ = run_agreeing(chor, THREE)  # simulated views equal the oracle's
+    shown = [{"variant": 3, "value": "x"}, {"bytes": "00ff"}, {"census": ["a", "b", "c"]},
+             {"repr": "0.5"}]
+    assert central.result_view("a") == {"located": ["a"], "value": shown}
 
 
 class _Silent:
@@ -116,7 +127,7 @@ def test_non_owners_share_one_absent_value_per_owner_set():
     project_and_run(chor, pqr, "r", transport=None)
     first, second = seen["locally"]
     assert first is second and first._value is ABSENT and first.owners.names == ("p",)
-    assert seen["enclave"] is _ABSENT_AT[("p", "q")] is seen["flatten"]
+    assert seen["enclave"] is _ABSENT_AT[pq] is seen["flatten"]
     assert ran == []
 
     _, audited = run_agreeing(chor, pqr)
@@ -427,6 +438,23 @@ def test_immutable_args_are_shared_not_copied(name):
     own = _own_args(ex.args, ex.census.names)
     assert list(own) == list(ex.census.names)
     assert all(args is ex.args for args in own.values())
+
+
+def _enclave_at_census_in_args(b, args):
+    return b.enclave(b.subset(args[0]), lambda eb: eb.locally(eb.member("b"), lambda un: 5))
+
+
+def test_a_census_in_copied_args_is_the_run_census():
+    # args is a list, so each projected endpoint narrows to a deep copy of it
+    args = [census_of(["a", "b"])]
+    central = run_centralized(_enclave_at_census_in_args, THREE, args)
+    central.require_success()
+    for report in (run_simulated(_enclave_at_census_in_args, THREE, args, audit=True),
+                   run_over_tcp(_enclave_at_census_in_args, THREE, args, audit=True)):
+        report.require_success()
+        assert compare_runs(central, report) == []
+    at_b = {"located": ["b"], "value": 5}
+    assert central.result_view("b") == {"located": ["a", "b"], "value": at_b}
 
 
 def test_mutable_args_are_copied_per_endpoint():

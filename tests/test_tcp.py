@@ -483,6 +483,7 @@ def test_a_silent_unnamed_connection_does_not_hold_up_a_real_peer():
 
 
 TIMEOUTS_MUST_BE_POSITIVE = "recv_timeout and connect_timeout must be positive"
+TIMEOUT_TOO_LONG = "a timeout above 9223372036 s is too long for a socket"
 
 
 @pytest.mark.parametrize("own,peer,timeouts,match", [
@@ -494,9 +495,13 @@ TIMEOUTS_MUST_BE_POSITIVE = "recv_timeout and connect_timeout must be positive"
     (None, None, {"recv_timeout": 0}, TIMEOUTS_MUST_BE_POSITIVE),
     (None, None, {"recv_timeout": float("nan")}, TIMEOUTS_MUST_BE_POSITIVE),
     (None, None, {"connect_timeout": 0}, TIMEOUTS_MUST_BE_POSITIVE),
+    (None, None, {"recv_timeout": float("inf")}, TIMEOUT_TOO_LONG),
+    (None, None, {"recv_timeout": 1e10}, TIMEOUT_TOO_LONG),
+    (None, None, {"connect_timeout": float("inf")}, TIMEOUT_TOO_LONG),
 ], ids=["taken-port", "own-port-out-of-range", "peer-port-out-of-range", "address-not-local",
         "negative-recv-timeout", "zero-recv-timeout", "nan-recv-timeout",
-        "zero-connect-timeout"])
+        "zero-connect-timeout", "infinite-recv-timeout", "too-long-recv-timeout",
+        "infinite-connect-timeout"])
 def test_set_up_errors_are_transport_errors_and_leak_no_socket(own, peer, timeouts, match):
     holder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)  # holds the taken port
     holder.bind(("127.0.0.1", 0))
