@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import threading
 from pathlib import Path
 
 from . import conformance
@@ -25,7 +26,6 @@ from .runtime import EndpointLog, RunReport, run_centralized, run_simulated
 from .runtime.endpoint import run_endpoint
 from .runtime.views import view_json
 from .transport import TcpTransport
-from .transport.tcp import _TIMEOUT_MAX_S
 
 
 def _read(path: str) -> str:
@@ -110,8 +110,8 @@ def _write_report(path: str | None, report) -> None:
 
 
 def _cmd_run(ns) -> int:
-    if ns.step_budget < 1 or not 0 < ns.recv_timeout <= _TIMEOUT_MAX_S:
-        raise ConfigError(f"need --step-budget >= 1 and 0 < --recv-timeout <= {_TIMEOUT_MAX_S:.0f}")
+    if ns.step_budget < 1 or not 0 < ns.recv_timeout <= threading.TIMEOUT_MAX:
+        raise ConfigError(f"need --step-budget >= 1 and 0 < --recv-timeout <= {threading.TIMEOUT_MAX:.0f}")
     ex = _load_example(ns)
     if ns.mode == "centralized":
         report = run_centralized(

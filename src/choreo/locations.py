@@ -104,8 +104,7 @@ def census_of(names: Iterable[str]) -> Census:
     key = tuple(names)
     if not key:
         raise EmptyCensusError("a census must contain at least one location")
-    census = _CENSUSES.get(key)
-    return census if census is not None else Census(key)
+    return Census(key)
 
 
 @dataclass(frozen=True)

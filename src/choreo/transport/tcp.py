@@ -34,9 +34,9 @@ is seen, including frames of other peers that arrived but were not yet
 received: only frames that `recv` returned count as delivered.  A receive
 from a location outside the address book raises at once.  Set-up fails with
 TransportError, holding no socket, when a timeout is not positive or is
-above `_TIMEOUT_MAX_S` (the most a socket accepts), a book entry's port is
-outside 0-65535 or the own address cannot be bound.  No retries, no TLS, no
-partial-failure tolerance.
+above `threading.TIMEOUT_MAX` (the most a socket accepts), a book entry's
+port is outside 0-65535 or the own address cannot be bound.  No retries, no
+TLS, no partial-failure tolerance.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ FRAME_LIMIT = 64 * 1024 * 1024
 _HEADER = struct.Struct(">I")
 _CHUNK = 64 * 1024
 _JOIN_TIMEOUT_S = 5.0
-_TIMEOUT_MAX_S = threading.TIMEOUT_MAX
 
 
 def free_port() -> int:
@@ -179,8 +178,8 @@ class TcpTransport:
             raise TransportError(f"address book has no entry for {self_name!r}")
         if not (recv_timeout > 0 and connect_timeout > 0):
             raise TransportError("recv_timeout and connect_timeout must be positive")
-        if max(recv_timeout, connect_timeout) > _TIMEOUT_MAX_S:
-            raise TransportError(f"a timeout above {_TIMEOUT_MAX_S:.0f} s is too long for a socket")
+        if max(recv_timeout, connect_timeout) > threading.TIMEOUT_MAX:
+            raise TransportError(f"a timeout above {threading.TIMEOUT_MAX:.0f} s is too long for a socket")
         self.self_name = self_name
         self._addresses = {n: _parse_address(a) for n, a in address_book.items()}
         self._recv_timeout = recv_timeout
