@@ -1,15 +1,17 @@
 """Deterministic in-memory transport with a seeded cooperative scheduler.
 
 Exactly one thread runs at a time, and there is no scheduler thread: a baton
-passes directly from task to task.  Every task owns a binary semaphore (a lock
-created acquired), and whoever holds the baton runs the scheduler's steps
-itself: `run` at the start, a task that blocks on a receive, or a task that
-finishes.  It runs steps until one resumes a task, then releases that task's
-lock; a blocked task then waits on its own lock.  So resuming a task is one
-thread switch, and none when the step delivers the message a blocked task was
-waiting for and chooses that same task again.  Since only the baton holder
-touches the queues, sends and receives need no mutex.  When the last task
-finishes it releases the lock `run` waits on.
+passes directly from task to task.  Every task owns a pipe, and whoever holds
+the baton runs the scheduler's steps itself: `run` at the start, a task that
+blocks on a receive, or a task that finishes.  It runs steps until one
+resumes a task, then writes one byte to that task's pipe; a blocked task
+reads its own pipe.  `os.write` releases the GIL before the kernel wakes the
+reader, so the woken thread need not wait for the writer to drop it.
+Resuming a task is one thread switch, and none when the step delivers the
+message a blocked task was waiting for and chooses that same task again.
+Since only the baton holder touches the queues, sends and receives need no
+mutex.  When the last task finishes it writes the pipe `run` reads, and
+`run` closes each pipe once the thread that reads it has ended.
 
 At every step the scheduler picks, from a deterministically ordered list of
 enabled actions (resume a runnable task, in name order, then deliver the head
@@ -26,15 +28,16 @@ A provable stall (every live task blocked, nothing left to deliver) and a
 blown step budget are both flagged as StepBudgetExceeded at the stuck
 endpoints; both signal a deadlock or livelock and are always test failures.
 Purely CPU-bound loops inside one endpoint never yield, so only blocking
-points count as steps.  An exception inside a step (a scheduler fault) is
-raised at every live task's next blocking point in turn, one task at a time,
-and then out of `run` as a TransportError.  Every task thread has returned by
-the time `run` does; one that has not is a TransportError, never a silent
-leak.
+points count as steps.  An exception inside a step (a scheduler fault), or a
+task thread that fails to start, is raised at every live task's next blocking
+point in turn, one task at a time, and then out of `run` as a TransportError.
+Every task thread has returned by the time `run` does; one that has not is a
+TransportError, never a silent leak.  A net runs once.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import threading
 from bisect import insort
@@ -48,14 +51,8 @@ from . import MessageRecord
 _JOIN_TIMEOUT_S = 5.0
 
 
-def _baton() -> threading.Lock:
-    lock = threading.Lock()
-    lock.acquire()
-    return lock
-
-
 class _Task:
-    __slots__ = ("name", "thread", "state", "blocked_on", "abort", "error", "baton")
+    __slots__ = ("name", "thread", "state", "blocked_on", "abort", "error", "steps", "baton")
 
     def __init__(self, name: str):
         self.name = name
@@ -64,7 +61,8 @@ class _Task:
         self.blocked_on = None
         self.abort = None  # exception to raise at next activation
         self.error = None
-        self.baton = _baton()  # released by the baton holder to resume this task
+        self.steps = 0  # scheduler steps charged to this endpoint
+        self.baton = os.pipe()  # (read, write): the baton holder writes to resume this task
 
 
 class _SimHandle:
@@ -93,13 +91,12 @@ class SimNet:
         self._runnable: list[str] = []
         self._deliverable: list[tuple[str, str]] = []
         self._rng = random.Random(derived_seed(seed, "scheduler"))
-        self._finished = _baton()  # released when no task is left alive
+        self._finished = None  # pipe written when no task is left alive
         self._fault: BaseException | None = None
         self._clock = 0
         self._tasks: dict[str, _Task] = {}
         self._alive = 0
         self._budget = step_budget
-        self._steps = {n: 0 for n in self.names}
         self.messages: list[MessageRecord] = []
 
     def handle(self, name: str) -> _SimHandle:
@@ -109,11 +106,6 @@ class SimNet:
 
     # -- endpoint side (runs only while the calling task holds the baton) --
 
-    def _tick(self) -> int:
-        t = self._clock
-        self._clock += 1
-        return t
-
     def _send(self, sender: str, to: str, body: bytes) -> None:
         pair = (sender, to)
         pending = self._pending.get(pair)
@@ -121,7 +113,9 @@ class SimNet:
             raise TransportError(f"no route {sender!r} -> {to!r}")
         seq = self._seqs[pair]
         self._seqs[pair] = seq + 1
-        record = MessageRecord(sender, to, len(body), seq, t_send=self._tick())
+        t = self._clock
+        self._clock = t + 1
+        record = MessageRecord(sender, to, len(body), seq, t_send=t)
         self.messages.append(record)
         if not pending:
             insort(self._deliverable, pair)
@@ -131,8 +125,8 @@ class SimNet:
         queue = self._arrived.get((frm, receiver))
         if queue is None:
             raise TransportError(f"no route {frm!r} -> {receiver!r}")
-        task = self._tasks[receiver]
         while not queue:
+            task = self._tasks[receiver]
             task.state = "blocked"
             task.blocked_on = frm
             self._pass_baton(task)
@@ -142,7 +136,8 @@ class SimNet:
                 task.abort = None
                 raise exc
         record, body = queue.popleft()
-        record.t_recv = self._tick()
+        record.t_recv = self._clock
+        self._clock += 1
         return body
 
     # -- the scheduler (runs on whichever thread holds the baton) ----------
@@ -152,28 +147,44 @@ class SimNet:
 
         Returns each endpoint's error (None on success).  Endpoint exceptions
         never propagate out of the run; stalled endpoints end with
-        StepBudgetExceeded.  Raises TransportError if a scheduler step raised,
-        or if a task thread is still alive after the last one has finished.
+        StepBudgetExceeded.  Raises TransportError on a second call, if a
+        scheduler step raised or a task thread failed to start, or if a task
+        thread is still alive after the last one has finished.
         """
+        if self._tasks:
+            raise TransportError("a SimNet runs once; build a new one for another run")
         if set(mains) != set(self.names):
             raise TransportError("one entry point per census location is required")
-        for name in self.names:
-            task = _Task(name)
-            task.thread = threading.Thread(
-                target=self._thread_main, args=(task, mains[name]), daemon=True
-            )
-            self._tasks[name] = task
+        self._tasks = {name: _Task(name) for name in self.names}
         self._runnable = sorted(self.names)
         self._alive = len(self._tasks)
+        self._finished = os.pipe()
         for task in self._tasks.values():
-            task.thread.start()
+            task.thread = threading.Thread(
+                target=self._thread_main, args=(task, mains[task.name]), daemon=True
+            )
+            if self._fault is None:
+                try:
+                    task.thread.start()
+                    continue
+                except Exception as exc:  # the started tasks are aborted as after a fault
+                    self._fault = exc
+            task.state = "done"
 
         self._pass_baton(None)
-        self._finished.acquire()
+        os.read(self._finished[0], 1)
 
+        leaked = []
         for task in self._tasks.values():
-            task.thread.join(timeout=_JOIN_TIMEOUT_S)
-        leaked = [t.name for t in self._tasks.values() if t.thread.is_alive()]
+            if task.thread.ident is not None:  # started
+                task.thread.join(timeout=_JOIN_TIMEOUT_S)
+            if task.thread.is_alive():
+                leaked.append(task.name)  # it may still read its pipe: keep it open
+            else:
+                os.close(task.baton[0])
+                os.close(task.baton[1])
+        os.close(self._finished[0])
+        os.close(self._finished[1])
         if leaked:
             raise TransportError(f"simulator threads still alive after the run: {leaked}")
         if self._fault is not None:
@@ -187,14 +198,11 @@ class SimNet:
         `holder`, the task giving it up (None for `run`), then waits until it
         is resumed, unless it is the one chosen or has finished."""
         chosen = self._next()
-        if chosen is holder:
+        if chosen is holder and holder is not None:
             return
-        if chosen is None:
-            self._finished.release()
-        else:
-            chosen.baton.release()
+        os.write(self._finished[1] if chosen is None else chosen.baton[1], b"\0")
         if holder is not None and holder.state != "done":
-            holder.baton.acquire()
+            os.read(holder.baton[0], 1)
 
     def _next(self) -> _Task | None:
         """The task the next steps resume, or None once none is alive.  After
@@ -211,12 +219,13 @@ class SimNet:
         return None
 
     def _step(self) -> _Task | None:
-        runnable, deliverable = self._runnable, self._deliverable
+        runnable, deliverable, tasks = self._runnable, self._deliverable, self._tasks
+        getrandbits = self._rng.getrandbits
         while self._alive:
             n_run = len(runnable)
             n = n_run + len(deliverable)
             if not n:
-                for t in self._tasks.values():
+                for t in tasks.values():
                     if t.state != "done":
                         if t.abort is None:
                             t.abort = StepBudgetExceeded(
@@ -225,35 +234,40 @@ class SimNet:
                             )
                         self._wake(t)
                 continue
-            # draws from the PRNG exactly as choosing from the list would
-            i = self._rng.choice(range(n))
+            # the draws of Random.choice(range(n)), without its calls
+            k = n.bit_length()
+            i = getrandbits(k)
+            while i >= n:
+                i = getrandbits(k)
             if i < n_run:
-                name = runnable.pop(i)
-                self._charge(name)
-                return self._tasks[name]
+                task = tasks[runnable.pop(i)]
+                task.steps += 1
+                if task.steps > self._budget:
+                    self._trip(task)
+                return task
             pair = deliverable[i - n_run]
             pending = self._pending[pair]
             envelope = pending.popleft()
             if not pending:
                 del deliverable[i - n_run]
-            envelope[0].t_deliver = self._tick()
+            envelope[0].t_deliver = self._clock
+            self._clock += 1
             self._arrived[pair].append(envelope)
-            s, r = pair
-            task = self._tasks[r]
-            if task.state == "blocked" and task.blocked_on == s:
+            task = tasks[pair[1]]
+            if task.state == "blocked" and task.blocked_on == pair[0]:
                 self._wake(task)
-            self._charge(r)
+            task.steps += 1
+            if task.steps > self._budget:
+                self._trip(task)
         return None
 
     def _wake(self, task: _Task) -> None:
         task.state = "ready"
         insort(self._runnable, task.name)
 
-    def _charge(self, name: str) -> None:
-        self._steps[name] += 1
-        if self._steps[name] <= self._budget:
-            return
-        text = f"step budget of {self._budget} per endpoint exceeded at {name!r}"
+    def _trip(self, task: _Task) -> None:
+        """`task` is over the step budget: abort every live task."""
+        text = f"step budget of {self._budget} per endpoint exceeded at {task.name!r}"
         for t in self._tasks.values():
             if t.state != "done" and t.abort is None:
                 t.abort = StepBudgetExceeded(text)  # one per task: a raise extends its traceback
@@ -261,7 +275,7 @@ class SimNet:
                     self._wake(t)
 
     def _thread_main(self, task: _Task, main: Callable[[], None]) -> None:
-        task.baton.acquire()
+        os.read(task.baton[0], 1)
         if task.abort is not None:
             task.error = task.abort
             task.abort = None

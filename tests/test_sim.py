@@ -2,6 +2,7 @@
 stall and budget detection, and scheduler faults."""
 
 import hashlib
+import os
 import sys
 import threading
 import traceback
@@ -269,15 +270,15 @@ def test_scheduler_fault_reaches_run(k):
     # with a TransportError and leave no task thread waiting for the baton.
     before = set(threading.enumerate())
     net = SimNet(["a", "b"], seed=5)
-    choice, calls = net._rng.choice, []
+    getrandbits, calls = net._rng.getrandbits, []
 
-    def faulty(seq):
-        calls.append(seq)
+    def faulty(bits):
+        calls.append(bits)
         if len(calls) == k:
             raise RuntimeError("injected scheduler fault")
-        return choice(seq)
+        return getrandbits(bits)
 
-    net._rng.choice = faulty
+    net._rng.getrandbits = faulty
     outcome = []
 
     def runner():
@@ -293,6 +294,7 @@ def test_scheduler_fault_reaches_run(k):
     assert isinstance(outcome[0], TransportError)
     assert isinstance(outcome[0].__cause__, RuntimeError)
     assert [t for t in threading.enumerate() if t not in before] == []
+    assert len(calls) == k
 
 
 def test_handoff_holds_under_frequent_thread_switches():
@@ -319,3 +321,74 @@ def test_handoff_holds_under_frequent_thread_switches():
         sys.setswitchinterval(interval)
     assert not thread.is_alive(), "the simulated run did not finish"
     assert outcome == [expected]
+
+
+def _fail_thread_start(monkeypatch, k):
+    """Make the k-th `Thread.start` from now raise, as when the system is out
+    of threads; returns the list of threads that start was called on."""
+    start, calls = threading.Thread.start, []
+
+    def start_or_fail(thread):
+        calls.append(thread)
+        if len(calls) == k:
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start_or_fail)
+    return calls
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_task_thread_that_fails_to_start_ends_the_run(k, monkeypatch):
+    # The tasks started before the failing one are aborted in turn, as after
+    # a scheduler fault; no endpoint body runs and no task thread is left.
+    before = set(threading.enumerate())
+    net = SimNet(["a", "b", "c"], seed=0)
+    ran = []
+    mains = {n: (lambda n=n: ran.append(n)) for n in net.names}
+    calls = _fail_thread_start(monkeypatch, k)
+    with pytest.raises(TransportError) as info:
+        net.run(mains)
+    assert isinstance(info.value.__cause__, RuntimeError)
+    assert len(calls) == k and ran == []
+    assert [t for t in threading.enumerate() if t not in before] == []
+
+
+def test_a_net_runs_once():
+    net = SimNet(["a", "b"], seed=5)
+    assert net.run(_ping_pong_mains(net)) == {"a": None, "b": None}
+    log = list(net.messages)
+    with pytest.raises(TransportError):
+        net.run(_ping_pong_mains(net))
+    assert net.messages == log
+
+
+def _raise_injected_fault(*args):
+    raise RuntimeError("injected scheduler fault")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+@pytest.mark.parametrize("shape", ["clean", "stalled", "over-budget", "fault", "start-failure"])
+def test_runs_leave_no_file_descriptors_open(shape, monkeypatch):
+    before = sorted(os.listdir("/proc/self/fd"))
+    if shape == "clean":
+        net = SimNet(["a", "b"], seed=5)
+        assert net.run(_ping_pong_mains(net)) == {"a": None, "b": None}
+    elif shape == "stalled":
+        net = SimNet(["a", "b"], seed=0)
+        assert isinstance(net.run(_stalled(net))["b"], StepBudgetExceeded)
+    elif shape == "over-budget":
+        net = SimNet(["a", "b"], seed=0, step_budget=4)
+        errors = net.run(_ping_pong_mains(net, rounds=50))
+        assert any(isinstance(e, StepBudgetExceeded) for e in errors.values())
+    elif shape == "fault":
+        net = SimNet(["a", "b"], seed=5)
+        net._rng.getrandbits = _raise_injected_fault
+        with pytest.raises(TransportError):
+            net.run(_ping_pong_mains(net))
+    else:
+        net = SimNet(["a", "b", "c"], seed=0)
+        _fail_thread_start(monkeypatch, 2)
+        with pytest.raises(TransportError):
+            net.run(_two_senders(net))
+    assert sorted(os.listdir("/proc/self/fd")) == before
