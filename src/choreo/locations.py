@@ -35,7 +35,8 @@ from .errors import (
 
 
 class Census:
-    """An ordered, duplicate-free set of location names, one per name tuple.
+    """An ordered, duplicate-free set of location names (non-empty `str`s),
+    one per name tuple.
 
     `Census(names)` validates the names the first time it sees them and
     returns the same census for them ever after: equality and hash are
@@ -51,10 +52,12 @@ class Census:
         key = tuple(names)
         census = _CENSUSES.get(key)
         if census is None:
-            if not all(key):
-                raise ValueError("location name must be non-empty")
             positions: dict[str, int] = {}
             for i, name in enumerate(key):
+                if not isinstance(name, str):
+                    raise TypeError(f"location name must be a str, not {type(name).__name__}")
+                if not name:
+                    raise ValueError("location name must be non-empty")
                 if name in positions:
                     raise DuplicateLocationError(f"duplicate location {name!r}")
                 positions[name] = i

@@ -153,7 +153,10 @@ def _check_declared(c: Choreography, census: Census, verb: str) -> None:
 
 def run_proc(c: Any, census: Census) -> Callable[["OperatorBundle", Any], Any]:
     """The procedure a run under `census` calls: a Choreography's, once the
-    census it declares (if any) is checked, or `c` itself."""
+    census it declares (if any) is checked, or `c` itself.  Raises
+    EmptyCensusError for an empty run census."""
+    if not census:
+        raise EmptyCensusError("a run census must contain at least one location")
     if isinstance(c, Choreography):
         _check_declared(c, census, "got")
         return c.proc

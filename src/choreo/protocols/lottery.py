@@ -29,10 +29,6 @@ from ..portable import encode
 FIELD_MODULUS = 999_983
 
 
-def field_add(a: int, b: int) -> int:
-    return (a + b) % FIELD_MODULUS
-
-
 def field_sub(a: int, b: int) -> int:
     return (a - b) % FIELD_MODULUS
 

@@ -10,8 +10,8 @@ reader, so the woken thread need not wait for the writer to drop it.
 Resuming a task is one thread switch, and none when the step delivers the
 message a blocked task was waiting for and chooses that same task again.
 Since only the baton holder touches the queues, sends and receives need no
-mutex.  When the last task finishes it writes the pipe `run` reads, and
-`run` closes each pipe once the thread that reads it has ended.
+mutex.  `run` waits for the run by joining each task thread it started, and
+closes that task's pipe once the thread has ended.
 
 At every step the scheduler picks, from a deterministically ordered list of
 enabled actions (resume a runnable task, in name order, then deliver the head
@@ -31,8 +31,8 @@ Purely CPU-bound loops inside one endpoint never yield, so only blocking
 points count as steps.  An exception inside a step (a scheduler fault), or a
 task thread that fails to start, is raised at every live task's next blocking
 point in turn, one task at a time, and then out of `run` as a TransportError.
-Every task thread has returned by the time `run` does; one that has not is a
-TransportError, never a silent leak.  A net runs once.
+A task thread returns right after its last hand-off, and `run` returns only
+after joining every one it started.  A net runs once.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ from typing import Callable
 from ..errors import StepBudgetExceeded, TransportError
 from ..seeding import derived_seed
 from . import MessageRecord
-
-_JOIN_TIMEOUT_S = 5.0
 
 
 class _Task:
@@ -91,7 +89,6 @@ class SimNet:
         self._runnable: list[str] = []
         self._deliverable: list[tuple[str, str]] = []
         self._rng = random.Random(derived_seed(seed, "scheduler"))
-        self._finished = None  # pipe written when no task is left alive
         self._fault: BaseException | None = None
         self._clock = 0
         self._tasks: dict[str, _Task] = {}
@@ -147,9 +144,9 @@ class SimNet:
 
         Returns each endpoint's error (None on success).  Endpoint exceptions
         never propagate out of the run; stalled endpoints end with
-        StepBudgetExceeded.  Raises TransportError on a second call, if a
-        scheduler step raised or a task thread failed to start, or if a task
-        thread is still alive after the last one has finished.
+        StepBudgetExceeded.  Raises TransportError on a second call, or
+        after the run if a scheduler step raised or a task thread failed to
+        start.
         """
         if self._tasks:
             raise TransportError("a SimNet runs once; build a new one for another run")
@@ -158,7 +155,6 @@ class SimNet:
         self._tasks = {name: _Task(name) for name in self.names}
         self._runnable = sorted(self.names)
         self._alive = len(self._tasks)
-        self._finished = os.pipe()
         for task in self._tasks.values():
             task.thread = threading.Thread(
                 target=self._thread_main, args=(task, mains[task.name]), daemon=True
@@ -172,21 +168,11 @@ class SimNet:
             task.state = "done"
 
         self._pass_baton(None)
-        os.read(self._finished[0], 1)
-
-        leaked = []
         for task in self._tasks.values():
             if task.thread.ident is not None:  # started
-                task.thread.join(timeout=_JOIN_TIMEOUT_S)
-            if task.thread.is_alive():
-                leaked.append(task.name)  # it may still read its pipe: keep it open
-            else:
-                os.close(task.baton[0])
-                os.close(task.baton[1])
-        os.close(self._finished[0])
-        os.close(self._finished[1])
-        if leaked:
-            raise TransportError(f"simulator threads still alive after the run: {leaked}")
+                task.thread.join()
+            os.close(task.baton[0])
+            os.close(task.baton[1])
         if self._fault is not None:
             raise TransportError(
                 f"simulator scheduler failed: {self._fault!r}"
@@ -198,9 +184,10 @@ class SimNet:
         `holder`, the task giving it up (None for `run`), then waits until it
         is resumed, unless it is the one chosen or has finished."""
         chosen = self._next()
-        if chosen is holder and holder is not None:
+        if chosen is holder:
             return
-        os.write(self._finished[1] if chosen is None else chosen.baton[1], b"\0")
+        if chosen is not None:
+            os.write(chosen.baton[1], b"\0")
         if holder is not None and holder.state != "done":
             os.read(holder.baton[0], 1)
 

@@ -47,6 +47,10 @@ def test_location_names_must_be_non_empty():
     for build in (lambda: census_of([""]), lambda: Census(("",))):
         with pytest.raises(ValueError, match="^location name must be non-empty$"):
             build()
+    for names, kind in (([1, 2], "int"), (["a", b"b"], "bytes"), ([0], "int")):
+        for build in (census_of, Census):
+            with pytest.raises(TypeError, match=f"^location name must be a str, not {kind}$"):
+                build(names)
 
 
 def test_member_witness():

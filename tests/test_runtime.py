@@ -9,6 +9,7 @@ import pytest
 from conftest import run_agreeing
 
 from choreo import (
+    EMPTY,
     census_of,
     project_and_run,
     run_centralized,
@@ -16,7 +17,12 @@ from choreo import (
     run_simulated,
     subset,
 )
-from choreo.errors import CommitmentFailed, StepBudgetExceeded, WitnessMismatchError
+from choreo.errors import (
+    CommitmentFailed,
+    EmptyCensusError,
+    StepBudgetExceeded,
+    WitnessMismatchError,
+)
 from choreo.conformance import _equivalence_examples, compare_runs
 from choreo.examples import build_example, example_names
 from choreo.located import _ABSENT_AT, ABSENT
@@ -77,6 +83,12 @@ class _Silent:
 def test_run_at_location_outside_census_rejected():
     with pytest.raises(WitnessMismatchError):
         project_and_run(_relay, THREE, "zebra", _Silent(), args=1)
+
+
+@pytest.mark.parametrize("run", [run_centralized, run_simulated, run_over_tcp])
+def test_every_runner_refuses_an_empty_census(run):
+    with pytest.raises(EmptyCensusError, match="^a run census must contain at least one location"):
+        run(_relay, EMPTY, args=1)
 
 
 def test_require_success_walks_the_endpoints_a_fragment_holds():

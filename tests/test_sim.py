@@ -297,6 +297,17 @@ def test_scheduler_fault_reaches_run(k):
     assert len(calls) == k
 
 
+def test_an_empty_net_runs_to_nothing():
+    # `run` holds the baton and the scheduler chooses no task: it must not
+    # wait for a hand-off that never comes.
+    outcome = []
+    thread = threading.Thread(target=lambda: outcome.append(SimNet([]).run({})), daemon=True)
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive(), "run() hung on an empty net"
+    assert outcome == [{}]
+
+
 def test_handoff_holds_under_frequent_thread_switches():
     # Eight task threads on fewer cores, with the interpreter switching
     # threads every 10 µs: if a thread other than the baton holder ever ran a
