@@ -3,7 +3,9 @@
 MultiplyLocated: one value owned identically by a set of locations; its
 presence is its ownership, and a non-owner holds the `ABSENT` placeholder.
 It is never mutated after construction, so a non-owner holds one shared
-absent value per owner set (`_absent_at`) in place of a new one per operator.
+absent value per owner set in place of a new one per operator: `_ABSENT_AT`
+is a dict from owner set to that value, and subscripting it with an owner set
+it has not seen builds the value once.
 Faceted: per-owner *distinct* private values under one handle, held as a dict
 from owner name to facet that lists the facets the interpreter can see.
 Quire: a complete location-to-value map held wholly by whoever has it.
@@ -55,12 +57,15 @@ class MultiplyLocated:
         return f"<Located {list(self._owners.names)}>"
 
 
-_ABSENT_AT: dict[Census, MultiplyLocated] = {}
+class _AbsentTable(dict):
+    """Owner set -> the one shared `MultiplyLocated(owners, ABSENT)`; a hit
+    is a plain dict lookup, a miss builds and keeps the value."""
+
+    def __missing__(self, owners: Census) -> MultiplyLocated:
+        return self.setdefault(owners, MultiplyLocated(owners, ABSENT))
 
 
-def _absent_at(owners: Census) -> MultiplyLocated:
-    """The one shared `MultiplyLocated(owners, ABSENT)`."""
-    return _ABSENT_AT.get(owners) or _ABSENT_AT.setdefault(owners, MultiplyLocated(owners, ABSENT))
+_ABSENT_AT = _AbsentTable()
 
 
 class Faceted:
@@ -92,9 +97,13 @@ class Quire:
 
     def __init__(self, keys: Census, entries: Mapping[str, Any]):
         entries = dict(entries)
-        if entries.keys() != keys._positions.keys():
+        try:
+            positions = keys._positions
+        except AttributeError:
+            raise TypeError(f"quire keys must be a Census, not {type(keys).__name__}") from None
+        if entries.keys() != positions.keys():
             missing = [n for n in keys._names if n not in entries]
-            extra = [n for n in entries if n not in keys._positions]
+            extra = [n for n in entries if n not in positions]
             raise ContractError(
                 f"quire entries do not match keys (missing={missing}, extra={extra})"
             )

@@ -89,32 +89,24 @@ class Choreography:
 
 
 class Unwrapper:
-    """Read capability handed to `locally`/`parallel`/`replicated` bodies.
+    """Read capability handed to `locally` and `parallel` bodies at one
+    location.
 
     Calling it on a multiply-located or faceted value returns the payload as
-    seen by the body's location; reading data the location does not own raises
-    UnwrapAbsentError.  For `replicated` bodies the unwrapper is scoped to the
-    whole census instead of one location and provides no randomness or input
-    access (those would break the agreement contract).
+    seen by `location`; reading data the location does not own raises
+    UnwrapAbsentError, and reading anything else raises ContractError.  `rng`
+    is the location's seeded randomness and `next_input()` pops its input
+    stream.  `replicated` bodies get a `CensusUnwrapper` instead.
     """
 
-    __slots__ = ("location", "_rng", "_inputs", "_census_scope")
+    __slots__ = ("location", "rng", "_inputs")
 
-    def __init__(self, location, rng, inputs, census_scope):
+    def __init__(self, location: str, rng, inputs):
         self.location = location
-        self._rng = rng
+        self.rng = rng
         self._inputs = inputs
-        self._census_scope = census_scope
-
-    @property
-    def rng(self):
-        if self._rng is None:
-            raise ContractError("replicated bodies have no local randomness")
-        return self._rng
 
     def next_input(self) -> Any:
-        if self._inputs is None:
-            raise ContractError("replicated bodies have no input stream")
         if not self._inputs:
             raise InputExhaustedError(f"input stream for {self.location!r} is empty")
         return self._inputs.popleft()
@@ -123,25 +115,53 @@ class Unwrapper:
         # An exact MultiplyLocated or Faceted skips the isinstance tests.
         t = type(value)
         if t is not MultiplyLocated and t is not Faceted:
-            if isinstance(value, MultiplyLocated):
-                t = MultiplyLocated
-            elif isinstance(value, Faceted):
-                t = Faceted
-            else:
-                raise ContractError(f"cannot unwrap {type(value).__name__}")
-        if self._census_scope is None:
-            name = self.location
-            if name not in value._owners._positions:
-                raise UnwrapAbsentError(
-                    f"{name!r} does not own the value (owners: {value.owners.names})"
-                )
+            t = _located_kind(value)
+        name = self.location
+        if name in value._owners._positions:
             return value._value if t is MultiplyLocated else value._facets[name]
-        if t is Faceted:
+        raise UnwrapAbsentError(
+            f"{name!r} does not own the value (owners: {value.owners.names})"
+        )
+
+
+class CensusUnwrapper:
+    """Read capability handed to `replicated` bodies, scoped to the whole
+    census: it reads only a multiply-located value every member owns, and it
+    has no location, randomness or input stream (those would break the
+    agreement contract)."""
+
+    __slots__ = ("_census",)
+    location = None
+
+    def __init__(self, census: Census):
+        self._census = census
+
+    @property
+    def rng(self):
+        raise ContractError("replicated bodies have no local randomness")
+
+    def next_input(self) -> Any:
+        raise ContractError("replicated bodies have no input stream")
+
+    def __call__(self, value: Any) -> Any:
+        if type(value) is not MultiplyLocated and _located_kind(value) is Faceted:
             raise UnwrapAbsentError("faceted values have no census-agreed reading")
-        missing = [n for n in self._census_scope.names if n not in value._owners._positions]
-        if missing:
-            raise UnwrapAbsentError(f"census member {missing[0]!r} does not own the value")
+        if value._owners is not self._census:
+            owners = value._owners._positions
+            missing = [n for n in self._census._names if n not in owners]
+            if missing:
+                raise UnwrapAbsentError(f"census member {missing[0]!r} does not own the value")
         return value._value
+
+
+def _located_kind(value: Any) -> type:
+    """MultiplyLocated or Faceted, whichever `value` is an instance of;
+    ContractError for anything else."""
+    if isinstance(value, MultiplyLocated):
+        return MultiplyLocated
+    if isinstance(value, Faceted):
+        return Faceted
+    raise ContractError(f"cannot unwrap {type(value).__name__}")
 
 
 def _check_declared(c: Choreography, census: Census, verb: str) -> None:
@@ -259,16 +279,15 @@ class OperatorBundle(ABC):
             self._require_subset(rs)
             if not rs.sub._names:
                 raise EmptyCensusError("fanin needs at least one recipient")
-            recipients = rs.sub._names
         payloads = {}
         for w in member_witnesses(qs.sub):
             c = per(w)
             ret = c(self) if type(c) is FunctionType else as_callable(c, self._census)(self)
-            owners = w.alone._names if rs is None else recipients
-            if not isinstance(ret, MultiplyLocated) or ret._owners._names != owners:
+            owners = w.alone if rs is None else rs.sub
+            if not isinstance(ret, MultiplyLocated) or ret._owners is not owners:
                 op = "fanout" if rs is None else "fanin"
                 raise ContractError(
-                    f"{op} iteration must yield a value located exactly at {owners}"
+                    f"{op} iteration must yield a value located exactly at {owners.names}"
                 )
             payloads[w.location] = ret._value
         return payloads
@@ -324,7 +343,7 @@ class OperatorBundle(ABC):
         ...
 
     @abstractmethod
-    def replicated(self, body: Callable[[Unwrapper], Any]) -> MultiplyLocated:
+    def replicated(self, body: Callable[[CensusUnwrapper], Any]) -> MultiplyLocated:
         ...
 
     @abstractmethod

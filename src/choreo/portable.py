@@ -21,6 +21,13 @@ of, in the order int, str, tuple, Variant, list, dict, writes the same bytes
 as the base value, and decode gives back the base type.  decode reads any
 other bytes-like object (a bytearray, a memoryview, an array) as the bytes it
 holds.
+
+`plain(v)` names the values the round trip cannot change: an exact bool,
+int, str or None, or an exact 2-tuple of plain values.  decode(encode(v)) of
+such a value equals v, has the same types, and neither can be mutated, so an
+interpreter may hand a recipient the sender's value once `encode` has
+accepted it.  Every other value (a list, a dict, a Variant, any subclass) is
+either mutable or comes back as a different type, and must round-trip.
 """
 
 from __future__ import annotations
@@ -61,6 +68,20 @@ def encode(value: Any) -> bytes:
     return bytes(out)
 
 
+def plain(value: Any) -> bool:
+    """True when `value` is an exact bool, int, str or None, or an exact
+    2-tuple of plain values: decoding its encoding gives back an equal value
+    of the same types."""
+    t = type(value)
+    if t is not tuple:
+        return t in _PLAIN_ATOMS
+    if len(value) != 2:
+        return False
+    first, second = value
+    return ((type(first) in _PLAIN_ATOMS or type(first) is tuple and plain(first))
+            and (type(second) in _PLAIN_ATOMS or type(second) is tuple and plain(second)))
+
+
 def decode(data: bytes) -> Any:
     if type(data) is not bytes:
         data = memoryview(data).tobytes()
@@ -78,6 +99,7 @@ def decode(data: bytes) -> Any:
 _BOOLS = {False: bytes((TAG_BOOL, 0)), True: bytes((TAG_BOOL, 1))}
 _BASES = (int, str, tuple, Variant, list, dict)
 _EXACT = frozenset((bool, type(None)) + _BASES)
+_PLAIN_ATOMS = frozenset((bool, int, str, type(None)))
 
 
 def _write(out: bytearray, v: Any) -> None:
@@ -89,7 +111,10 @@ def _write(out: bytearray, v: Any) -> None:
     if t is bool:
         out += _BOOLS[v]
     elif t is str:
-        raw = v.encode("utf-8")
+        try:
+            raw = v.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise EncodeError(f"text is not encodable as UTF-8: {exc.reason}") from None
         if len(raw) > _MAX_COUNT:
             raise EncodeError("text too long")
         out.append(TAG_TEXT)
@@ -109,10 +134,15 @@ def _write(out: bytearray, v: Any) -> None:
     elif v is None:
         out.append(TAG_UNIT)
     elif t is Variant:
-        if not 0 <= v.tag <= 255:
-            raise EncodeError(f"variant index out of range: {v.tag}")
         out.append(TAG_UNION)
-        out.append(v.tag)
+        try:
+            out.append(v.tag)
+        except ValueError:
+            raise EncodeError(f"variant index out of range: {v.tag}") from None
+        except TypeError:
+            raise EncodeError(
+                f"variant index must be an int, not {type(v.tag).__name__}"
+            ) from None
         _write(out, v.value)
     elif t is list:
         if len(v) > _MAX_COUNT:

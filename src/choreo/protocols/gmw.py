@@ -253,9 +253,9 @@ def f_and(b: OperatorBundle, u: Faceted, v: Faceted) -> Faceted:
     the product.
     """
     census = b.census
-    if not isinstance(u, Faceted) or u.owners != census:
+    if not isinstance(u, Faceted) or u.owners is not census:
         raise ContractError("left shares must be owned by the whole census")
-    if not isinstance(v, Faceted) or v.owners != census:
+    if not isinstance(v, Faceted) or v.owners is not census:
         raise ContractError("right shares must be owned by the whole census")
     names = census.names
     witnesses = _transfer_witnesses(names)

@@ -81,7 +81,7 @@ def lottery(
         raise ContractError("lottery participants must belong to the census")
     if len(servers) < 1 or len(clients) < 1:
         raise ContractError("need at least one server and one client")
-    if not isinstance(secrets, Faceted) or secrets.owners != clients:
+    if not isinstance(secrets, Faceted) or secrets.owners is not clients:
         raise ContractError("secrets must be faceted over the clients")
 
     servers_sub = b.subset(servers)

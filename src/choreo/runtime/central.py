@@ -1,12 +1,15 @@
 """Centralized interpreter: every endpoint's view computed in one process.
 
-No transport exists; every multicast payload still round-trips `encode` then
-`decode`, and `multicast` builds its virtual message records inline (per-pair
-seq, the message count as clock), so message accounting and branch logs are
-identical to a projected run.  This interpreter is the oracle the simulated
-and TCP runs are compared against, and it records only what they are compared
-on.  Every member's view derives from one value held here, so per-member value
-records could never disagree: none are written.
+No transport exists.  Every multicast payload is still encoded, so its byte
+count and any `EncodeError` match a projected run; the recipients then share
+the sender's value when it is `plain` (immutable, and of the types decoding
+gives back), and get `decode` of the bytes otherwise.  `multicast` builds its
+virtual message records inline (per-pair seq, the message count as clock), so
+message accounting and branch logs are identical to a projected run.  This
+interpreter is the oracle the simulated and TCP runs are compared against,
+and it records only what they are compared on.  Every member's view derives
+from one value held here, so per-member value records could never disagree:
+none are written.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from typing import Any
 from ..errors import ContractError, RunAborted
 from ..located import Faceted, MultiplyLocated, Quire
 from ..locations import Census, MembershipWitness, SubsetWitness
-from ..ops import OperatorBundle, Unwrapper, run_proc
-from ..portable import decode, encode
+from ..ops import CensusUnwrapper, OperatorBundle, Unwrapper, run_proc
+from ..portable import decode, encode, plain
 from ..seeding import location_rng
 from ..transport import MessageRecord
 from .report import BranchRecord, EndpointLog, RunReport
@@ -38,7 +41,7 @@ class _CentralState:
     def __init__(self, census: Census, seed: int, inputs: dict):
         self.logs = {n: EndpointLog(n) for n in census.names}
         self.unwrappers = {
-            n: Unwrapper(n, location_rng(seed, n), deque(inputs.get(n, [])), None)
+            n: Unwrapper(n, location_rng(seed, n), deque(inputs.get(n, [])))
             for n in census.names
         }
         # one count per census context: its members always record together
@@ -64,8 +67,10 @@ class CentralBundle(OperatorBundle):
 
     def multicast(self, s: MembershipWitness, r: SubsetWitness, v) -> MultiplyLocated:
         sender = self._check_multicast(s, r, v)
-        data = encode(v._value)
-        value = decode(data)
+        value = v._value
+        data = encode(value)
+        if not plain(value):
+            value = decode(data)
         nbytes = len(data)
         messages, seqs = self._state.messages, self._state.seqs
         for q in r.sub._names:
@@ -92,7 +97,7 @@ class CentralBundle(OperatorBundle):
         return MultiplyLocated(s.sub, ret)
 
     def replicated(self, body) -> MultiplyLocated:
-        un = Unwrapper(None, None, None, self._census)
+        un = CensusUnwrapper(self._census)
         results = [body(un) for _ in self._census.names]
         canon = [canonical_bytes(x) for x in results]
         if any(c != canon[0] for c in canon):

@@ -4,9 +4,11 @@
 location over a transport, then simply calls the choreography with it.  Each
 operator computes a payload only where this endpoint owns the result;
 elsewhere it returns the one shared `MultiplyLocated(owners, ABSENT)` of that
-owner set, which is safe because a `MultiplyLocated` is never mutated after
-construction.  Sends happen where this endpoint is the sender, receives where
-it is a recipient, and enclaves it is outside of are skipped entirely.
+owner set (`_ABSENT_AT[owners]`), which is safe because a `MultiplyLocated`
+is never mutated after construction.  Sends happen where this endpoint is the
+sender, receives where it is a recipient, and enclaves it is outside of are
+skipped entirely.  A sender that is also a recipient keeps its own value when
+it is `plain` and decodes the bytes it sent otherwise, as the oracle does.
 
 The value audit is opt-in.  With `audit=True` an endpoint also records one
 `ValueRecord` per located or faceted value an operator returns, a shared
@@ -26,10 +28,10 @@ from collections import deque
 from typing import Any
 
 from ..errors import WitnessMismatchError
-from ..located import ABSENT, Faceted, MultiplyLocated, Quire, _absent_at
+from ..located import _ABSENT_AT, ABSENT, Faceted, MultiplyLocated, Quire
 from ..locations import Census, MembershipWitness, SubsetWitness
-from ..ops import OperatorBundle, Unwrapper, run_proc
-from ..portable import decode, encode
+from ..ops import CensusUnwrapper, OperatorBundle, Unwrapper, run_proc
+from ..portable import decode, encode, plain
 from ..seeding import location_rng
 from ..transport import MessageRecord, Transport
 from .report import BranchRecord, EndpointLog, RunReport, ValueRecord
@@ -42,7 +44,7 @@ class EndpointState:
     def __init__(self, name: str, transport: Transport, rng, inputs, log: EndpointLog):
         self.self_name = name
         self.transport = transport
-        self.unwrapper = Unwrapper(name, rng, inputs, None)
+        self.unwrapper = Unwrapper(name, rng, inputs)
         self.log = log
         self.audit = log.audited
         self.clock = 0
@@ -101,7 +103,7 @@ class EndpointBundle(OperatorBundle):
         if w.location == state.self_name:
             v = MultiplyLocated(w.alone, body(state.unwrapper))
         else:
-            v = _absent_at(w.alone)
+            v = _ABSENT_AT[w.alone]
         return self._record(v) if state.audit else v
 
     def multicast(self, s: MembershipWitness, r: SubsetWitness, v) -> MultiplyLocated:
@@ -114,9 +116,15 @@ class EndpointBundle(OperatorBundle):
                 if q != me:
                     state.send(q, data)
         if me in r.sub._positions:
-            v = MultiplyLocated(r.sub, decode(data if me == sender else state.recv(sender)))
+            if me != sender:
+                value = decode(state.recv(sender))
+            elif plain(v._value):
+                value = v._value
+            else:
+                value = decode(data)
+            v = MultiplyLocated(r.sub, value)
         else:
-            v = _absent_at(r.sub)
+            v = _ABSENT_AT[r.sub]
         return self._record(v) if state.audit else v
 
     def naked(self, v) -> Any:
@@ -127,11 +135,11 @@ class EndpointBundle(OperatorBundle):
     def enclave(self, s: SubsetWitness, c) -> MultiplyLocated:
         proc = self._check_enclave(s, c)
         v = (MultiplyLocated(s.sub, proc(self._child(s.sub)))
-             if self._state.self_name in s.sub._positions else _absent_at(s.sub))
+             if self._state.self_name in s.sub._positions else _ABSENT_AT[s.sub])
         return self._record(v) if self._state.audit else v
 
     def replicated(self, body) -> MultiplyLocated:
-        v = MultiplyLocated(self._census, body(Unwrapper(None, None, None, self._census)))
+        v = MultiplyLocated(self._census, body(CensusUnwrapper(self._census)))
         return self._record(v) if self._state.audit else v
 
     def fanout(self, qs: SubsetWitness, per) -> Faceted:
@@ -143,19 +151,19 @@ class EndpointBundle(OperatorBundle):
     def fanin(self, qs: SubsetWitness, rs: SubsetWitness, per) -> MultiplyLocated:
         entries = self._loop_payloads(qs, per, rs)
         v = (MultiplyLocated(rs.sub, Quire(qs.sub, entries))
-             if self._state.self_name in rs.sub._positions else _absent_at(rs.sub))
+             if self._state.self_name in rs.sub._positions else _ABSENT_AT[rs.sub])
         return self._record(v) if self._state.audit else v
 
     def flatten(self, outer: SubsetWitness, inner: SubsetWitness, v) -> MultiplyLocated:
         self._check_flatten(outer, inner, v)
         v = (MultiplyLocated(outer.sub, self._check_nested(inner, v._value))
-             if self._state.self_name in outer.sub._positions else _absent_at(outer.sub))
+             if self._state.self_name in outer.sub._positions else _ABSENT_AT[outer.sub])
         return self._record(v) if self._state.audit else v
 
     def others_forget(self, t: SubsetWitness, v) -> MultiplyLocated:
         self._check_others_forget(t, v)
         v = (MultiplyLocated(t.sub, v._value)
-             if self._state.self_name in t.sub._positions else _absent_at(t.sub))
+             if self._state.self_name in t.sub._positions else _ABSENT_AT[t.sub])
         return self._record(v) if self._state.audit else v
 
 

@@ -238,3 +238,22 @@ def test_gmw_matches_oracle_on_sampled_depth3_circuits():
                     chor, census, args=circuit, seed=6, inputs=streams
                 )
                 assert all(central.result_view(p) == expected for p in parties)
+
+
+def test_an_oracle_gmw_run_decodes_no_payload(monkeypatch):
+    # Every GMW payload is plain (a bool, a str, or a pair of them), so the
+    # oracle hands each recipient the sender's value and never decodes.
+    import choreo.runtime.central as central
+
+    decoded = []
+    monkeypatch.setattr(central, "decode", lambda data: decoded.append(data))
+    ex = build_example(
+        "gmw",
+        parties=3,
+        circuit=G.parse_circuit("(and (in p1) (and (in p2) (in p3)))"),
+        inputs={"p1": [True], "p2": [True], "p3": [False]},
+    )
+    report = run_centralized(ex.choreography, ex.census, ex.args, seed=4, inputs=ex.inputs)
+    report.require_success()
+    assert report.messages and decoded == []
+    assert all(report.result_view(p) is False for p in ex.census.names)

@@ -39,3 +39,10 @@ def test_quire_takes_any_mapping_and_keeps_its_own_copy():
     entries["a"] = 99
     del entries["b"]
     assert q.values() == [2, 1] and dict(q.items()) == {"b": 2, "a": 1}
+
+
+def test_quire_keys_must_be_a_census():
+    for keys in (["p"], ("p",), "p", None):
+        with pytest.raises(TypeError) as info:
+            Quire(keys, {"p": 1})
+        assert str(info.value) == f"quire keys must be a Census, not {type(keys).__name__}"

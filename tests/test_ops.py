@@ -574,3 +574,49 @@ def test_declared_census_must_match_the_run():
             _fails_everywhere(report, WitnessMismatchError)
             under = f"running under {tuple(members)}"
             assert all(under in str(e) for e in report.errors().values())
+
+
+def _p_unwraps_a_value_at_q(b, args):
+    at_q = b.locally(b.member("q"), lambda un: 1)
+    return b.locally(b.member("p"), lambda un: un(at_q))
+
+
+def _p_unwraps_a_facet_of_q_and_r(b, args):
+    f = b.parallel(b.subset(["q", "r"]), lambda name, un: name)
+    return b.locally(b.member("p"), lambda un: un(f))
+
+
+def _p_unwraps_a_bare_value(b, args):
+    return b.locally(b.member("p"), lambda un: un(42))
+
+
+def _replicated_unwraps_a_value_at_p(b, args):
+    v = b.locally(b.member("p"), lambda un: 6)
+    return b.replicated(lambda un: un(v))
+
+
+@RUNNERS
+@pytest.mark.parametrize(
+    "chor, where, error, text",
+    [
+        (_p_unwraps_a_value_at_q, ["p"], UnwrapAbsentError,
+         "'p' does not own the value (owners: ('q',))"),
+        (_p_unwraps_a_facet_of_q_and_r, ["p"], UnwrapAbsentError,
+         "'p' does not own the value (owners: ('q', 'r'))"),
+        (_p_unwraps_a_bare_value, ["p"], ContractError, "cannot unwrap int"),
+        (_replicated_unwraps_a_bare_value, PCH.names, ContractError, "cannot unwrap int"),
+        (_replicated_reads_rng, PCH.names, ContractError,
+         "replicated bodies have no local randomness"),
+        (_replicated_reads_input, PCH.names, ContractError,
+         "replicated bodies have no input stream"),
+        (_replicated_unwraps_a_faceted_value, PCH.names, UnwrapAbsentError,
+         "faceted values have no census-agreed reading"),
+        (_replicated_unwraps_a_value_at_p, PCH.names, UnwrapAbsentError,
+         "census member 'q' does not own the value"),
+    ],
+)
+def test_unwrap_errors_say_what_went_wrong(run, chor, where, error, text):
+    # The oracle aborts every other endpoint; the simulator lets them finish.
+    errors = run(chor, PCH).errors()
+    for name in where:
+        assert type(errors[name]) is error and str(errors[name]) == text

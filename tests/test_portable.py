@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from choreo.errors import DecodeError, EncodeError
-from choreo.portable import Variant, decode, encode
+from choreo.portable import Variant, decode, encode, plain
 
 
 def test_golden_encodings():
@@ -70,6 +70,22 @@ def test_encode_rejects_out_of_grammar():
         encode(Variant(256, None))
     with pytest.raises(EncodeError):
         encode(b"raw bytes")
+
+
+@pytest.mark.parametrize("value, text", [
+    (Variant(1.5), "variant index must be an int, not float"),
+    (Variant("a"), "variant index must be an int, not str"),
+    (Variant(-1), "variant index out of range: -1"),
+    ("\ud800", "text is not encodable as UTF-8: surrogates not allowed"),
+    ({"\udfff": 1}, "text is not encodable as UTF-8: surrogates not allowed"),
+    ([Variant(None)], "variant index must be an int, not NoneType"),
+], ids=["float-tag", "str-tag", "negative-tag", "surrogate", "surrogate-key", "nested"])
+def test_values_outside_the_grammar_raise_encode_error(value, text):
+    # Only EncodeError tells a caller (canonical_bytes, try_encode) that a
+    # value is not portable; a TypeError or UnicodeEncodeError escapes them.
+    with pytest.raises(EncodeError) as info:
+        encode(value)
+    assert str(info.value) == text
 
 
 def test_decode_rejects_malformed():
@@ -218,3 +234,24 @@ def test_tuples_other_than_pairs_do_not_encode(value):
     with pytest.raises(EncodeError) as info:
         encode(value)
     assert str(info.value) == "only 2-tuples encode (as pairs); use a list"
+
+
+@pytest.mark.parametrize("value", [
+    None, True, False, 0, -(1 << 63), "", "déjà vu", ("k", 1), (True, (None, "x")),
+])
+def test_plain_values_come_back_equal_and_of_the_same_types(value):
+    assert plain(value)
+    back = decode(encode(value))
+    assert back == value and repr(back) == repr(value)
+    if isinstance(value, tuple):
+        assert [type(x) for x in back] == [type(x) for x in value]
+
+
+@pytest.mark.parametrize("value", [
+    [1], {"a": 1}, Variant(0, 1), (1, [2]), (1, 2, 3), 3.5, b"x",
+    _Text("hi"), _Pair("k", 1), _Small.SEVEN, ("k", _Small.SEVEN),
+])
+def test_mutable_values_and_subclasses_are_not_plain(value):
+    # These must round-trip: a list or dict could be changed by a receiver,
+    # and a subclass decodes as its base type.
+    assert not plain(value)

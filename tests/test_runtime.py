@@ -2,8 +2,10 @@
 per-endpoint randomness, report serialization, and the invariant checks
 catching real divergence."""
 
+import enum
 import hashlib
 from functools import partial
+from typing import NamedTuple
 
 import pytest
 from conftest import run_agreeing
@@ -474,3 +476,59 @@ def test_mutable_args_are_copied_per_endpoint():
     own = _own_args(args, ("a", "b"))
     assert own["a"] == own["b"] == args
     assert own["a"] is not args and own["a"][1] is not own["b"][1]
+
+
+def test_a_naked_value_outside_the_grammar_logs_its_json_view():
+    # A lone surrogate is not UTF-8, so encode raises EncodeError and the
+    # branch log falls back to the value's JSON view at every endpoint.
+    def chor(b, args):
+        return b.naked(b.replicated(lambda un: "\ud800"))
+
+    central, simulated = run_agreeing(chor, THREE)
+    logs = [report.endpoints[n].branches for report in (central, simulated) for n in THREE]
+    assert all(log == logs[0] for log in logs)
+    assert [record.outcome for record in logs[0]] == [b'"\\ud800"']
+    assert central.result_view("a") == "\ud800"
+
+
+@pytest.mark.parametrize("recipients, mutator", [(["b"], "b"), (["a", "b"], "a")])
+def test_a_recipient_changing_a_list_payload_leaves_the_senders_list(recipients, mutator):
+    # A list is mutable, so every recipient, the sender among them, gets a
+    # decoded copy rather than the sender's list.
+    def chor(b, args):
+        at_a = b.locally(b.member("a"), lambda un: [1])
+        sent = b.multicast(b.member("a"), b.subset(recipients), at_a)
+        b.locally(b.member(mutator), lambda un: un(sent).append(2))
+        return b.locally(b.member("a"), lambda un: list(un(at_a)))
+
+    central, _ = run_agreeing(chor, THREE)
+    assert central.result_view("a") == {"located": ["a"], "value": [1]}
+
+
+class _Level(enum.IntEnum):
+    HIGH = 2
+
+
+class _Name(str):
+    pass
+
+
+class _Point(NamedTuple):
+    x: int
+    y: int
+
+
+@pytest.mark.parametrize("payload, arrives_as", [
+    (_Level.HIGH, "int"), (_Name("n"), "str"), (_Point(1, 2), "tuple"),
+], ids=["intenum", "str-subclass", "namedtuple"])
+def test_subclass_payloads_arrive_as_their_base_type(payload, arrives_as):
+    # A subclass is not plain: each recipient, the sender included, reads the
+    # base type that decoding gives back, under the oracle as at an endpoint.
+    def chor(b, args):
+        at_a = b.locally(b.member("a"), lambda un: payload)
+        sent = b.multicast(b.member("a"), b.everyone(), at_a)
+        return b.parallel(b.everyone(), lambda name, un: type(un(sent)).__name__)
+
+    central, _ = run_agreeing(chor, THREE)
+    for name in THREE:
+        assert central.result_view(name) == {"faceted": list(THREE), "facet": arrives_as}
