@@ -35,7 +35,7 @@ def _read(path: str) -> str:
         raise ConfigError(f"cannot read {path!r}: {exc}") from exc
 
 
-def _parse_inputs(example: str, text: str) -> dict:
+def _parse_inputs(text: str, example: str) -> dict:
     streams: dict[str, list] = {}
     for part in text.split(","):
         part = part.strip()
@@ -53,37 +53,46 @@ def _parse_inputs(example: str, text: str) -> dict:
     return streams
 
 
-def _parse_tamper(text: str) -> Tamper:
+def _parse_tamper(text: str, example: str) -> Tamper:
     server, sep, which = text.partition(":")
     if not sep or which not in ("draw", "salt"):
         raise ConfigError("--tamper takes SERVER:draw or SERVER:salt")
     return Tamper(server, which)
 
 
+# The `choreo run` flag of each example option: the parser of its text (given
+# the example's name) and its help line.  Which example takes which option is
+# stated once, by the builders' keyword parameters in `examples.py`.
+EXAMPLE_FLAGS = {
+    "script": (lambda text, example: parse_script(_read(text)),
+               "request script file for the kvs examples"),
+    "circuit": (lambda text, example: parse_circuit(_read(text) if Path(text).exists() else text),
+                "circuit file or literal s-expression for gmw"),
+    "inputs": (_parse_inputs, "per-location inputs, e.g. p1=10,p2=1"),
+    "backups": (lambda text, example: int(text), "backup count for kvs-poly"),
+    "servers": (lambda text, example: int(text), "server count for the lottery"),
+    "clients": (lambda text, example: int(text), "client count for the lottery"),
+    "parties": (lambda text, example: int(text), "party count for gmw"),
+    "tamper": (_parse_tamper, "lottery tamper injection, SERVER:draw|salt"),
+    "fail_puts": (lambda text, example: [int(p) for p in text.split(",") if p.strip()],
+                  "request ordinals whose backup put fails (kvs-error-handling)"),
+    "fail_backups": (lambda text, example: [p for p in text.split(",") if p],
+                     "backup names that fail puts (kvs-poly)"),
+}
+
+
 def _load_example(ns) -> ExampleRun:
     """Build `ns.example` from exactly the example flags given, each parsed
     from its text and passed on under its own name; the builder rejects a
     flag its example does not take."""
-    parsers = {
-        "script": lambda text: parse_script(_read(text)),
-        "circuit": lambda text: parse_circuit(_read(text) if Path(text).exists() else text),
-        "inputs": lambda text: _parse_inputs(ns.example, text),
-        "backups": int,
-        "servers": int,
-        "clients": int,
-        "parties": int,
-        "tamper": _parse_tamper,
-        "fail_puts": lambda text: [int(p) for p in text.split(",") if p.strip()],
-        "fail_backups": lambda text: [p for p in text.split(",") if p],
-    }
     options = {}
-    for flag, parse in parsers.items():
-        text = getattr(ns, flag)
+    for option, (parse, _) in EXAMPLE_FLAGS.items():
+        text = getattr(ns, option)
         if text is not None:
             try:
-                options[flag] = parse(text)
+                options[option] = parse(text, ns.example)
             except ValueError:
-                raise ConfigError(f"bad --{flag.replace('_', '-')} value {text!r}") from None
+                raise ConfigError(f"bad --{option.replace('_', '-')} value {text!r}") from None
     return build_example(ns.example, **options)
 
 
@@ -149,7 +158,7 @@ def _cmd_count_messages(ns) -> int:
     first, _, second = ns.pair.partition(",")
     if not second:
         raise ConfigError("--pair takes two example names, e.g. kvs-broadcast,kvs-enclave")
-    options = {"script": parse_script(_read(ns.script))} if ns.script else {}
+    options = {"script": EXAMPLE_FLAGS["script"][0](ns.script, None)} if ns.script else {}
     counts = {}
     for name in (first, second):
         report = conformance.simulate_example(name, ns.seed, **options).require_success()
@@ -186,21 +195,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--role", help="this endpoint's location (endpoint mode)")
     run.add_argument("--config", help="address book JSON (endpoint mode)")
-    run.add_argument("--script", help="request script file for the kvs examples")
-    run.add_argument("--circuit", help="circuit file or literal s-expression for gmw")
-    run.add_argument("--inputs", help="per-location inputs, e.g. p1=10,p2=1")
-    run.add_argument("--backups", help="backup count for kvs-poly")
-    run.add_argument("--servers", help="server count for the lottery")
-    run.add_argument("--clients", help="client count for the lottery")
-    run.add_argument("--parties", help="party count for gmw")
     run.add_argument("--step-budget", type=int, default=10_000, dest="step_budget")
     run.add_argument("--report", help="write the run report to this file")
     run.add_argument("--recv-timeout", type=float, default=30.0, dest="recv_timeout")
-    run.add_argument("--tamper", help="lottery tamper injection, SERVER:draw|salt")
-    run.add_argument("--fail-puts", dest="fail_puts",
-                     help="request ordinals whose backup put fails (kvs-error-handling)")
-    run.add_argument("--fail-backups", dest="fail_backups",
-                     help="backup names that fail puts (kvs-poly)")
+    for option, (_, line) in EXAMPLE_FLAGS.items():
+        run.add_argument("--" + option.replace("_", "-"), help=line)
     run.set_defaults(func=_cmd_run)
 
     count = sub.add_parser("count-messages", help="compare message counts of two variants")

@@ -193,16 +193,13 @@ def suite_gmw(parties_counts: tuple[int, ...] = (2, 3)) -> SuiteResult:
     return _result("gmw", problems, f"{evals} oracle comparisons")
 
 
-def expected_lottery_winner(seed: int, servers: tuple[str, ...], n_clients: int,
-                            draw_range: int | None = None) -> int:
-    """Replay the servers' documented draw order (index draw first, salt
-    second) to compute the winning client index independently."""
-    if draw_range is None:
-        draw_range = 8 * n_clients
+def expected_lottery_winner(seed: int, servers: tuple[str, ...], n_clients: int) -> int:
+    """Replay the servers' documented draws (an index contribution below
+    8 * n_clients, then a salt) to compute the winning index independently."""
     total = 0
     for name in servers:
         rng = location_rng(seed, name)
-        total = (total + rng.randrange(draw_range)) % FIELD_MODULUS
+        total = (total + rng.randrange(8 * n_clients)) % FIELD_MODULUS
     return total % n_clients
 
 

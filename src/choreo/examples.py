@@ -101,7 +101,6 @@ class LotteryArgs:
     servers: tuple[str, ...]
     clients: tuple[str, ...]
     analyst: str = "analyst"
-    draw_range: int | None = None
     tamper: Tamper | None = None
 
 
@@ -117,14 +116,11 @@ def _lottery_proc(b: OperatorBundle, args: LotteryArgs):
         clients,
         args.analyst,
         secrets,
-        draw_range=args.draw_range,
         tamper=args.tamper,
     )
 
 
-def _build_lottery(
-    servers=3, clients=4, inputs=None, draw_range=None, tamper=None
-) -> ExampleRun:
+def _build_lottery(servers=3, clients=4, inputs=None, tamper=None) -> ExampleRun:
     if servers < 1 or clients < 1:
         raise ConfigError("the lottery needs at least one server and one client")
     server_names = tuple(f"server{i}" for i in range(1, servers + 1))
@@ -136,13 +132,11 @@ def _build_lottery(
         name: list(secrets.get(name) or [(1000 + 13 * i) % FIELD_MODULUS])
         for i, name in enumerate(client_names)
     }
-    args = LotteryArgs(
-        servers=server_names, clients=client_names, draw_range=draw_range, tamper=tamper
-    )
+    args = LotteryArgs(servers=server_names, clients=client_names, tamper=tamper)
     return ExampleRun(
         name="lottery",
         choreography=Choreography(_lottery_proc),
-        census=census_of(["analyst", *server_names, *client_names]),
+        census=census_of([args.analyst, *server_names, *client_names]),
         args=args,
         inputs=inputs,
     )

@@ -47,8 +47,10 @@ A body may change only state that belongs to its own location.  The simulator
 and `run_over_tcp` give each endpoint its own deep copy of `args`, as separate
 processes would have, and skip the copy when `args` is built only from
 immutable values; the oracle keeps one `args`, so a body that changes it
-disagrees with the oracle.  State reached through a closure or a module global
-is not isolated.
+disagrees with the oracle.  A body must not change a payload that other
+locations also own either: the oracle hands every recipient of a multicast one
+shared payload, so a change made at one reaches the others there and nowhere
+else.  State reached through a closure or a module global is not isolated.
 """
 
 from __future__ import annotations

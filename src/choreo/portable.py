@@ -20,7 +20,8 @@ an IntEnum) takes the general path: the first grammar type it is an instance
 of, in the order int, str, tuple, Variant, list, dict, writes the same bytes
 as the base value, and decode gives back the base type.  decode reads any
 other bytes-like object (a bytearray, a memoryview, an array) as the bytes it
-holds.
+holds.  Both recurse once per nesting level, so a value or an encoding nested
+beyond the interpreter's recursion limit raises EncodeError or DecodeError.
 
 `plain(v)` names the values the round trip cannot change: an exact bool,
 int, str or None, or an exact 2-tuple of plain values.  decode(encode(v)) of
@@ -64,7 +65,10 @@ def encode(value: Any) -> bytes:
     if type(value) is bool:
         return _BOOLS[value]
     out = bytearray()
-    _write(out, value)
+    try:
+        _write(out, value)
+    except RecursionError:
+        raise EncodeError("value nests too deeply to encode") from None
     return bytes(out)
 
 
@@ -91,6 +95,8 @@ def decode(data: bytes) -> Any:
         value, offset = _read(data, 0)
     except (IndexError, struct.error):  # a tag, byte or count past the end
         raise DecodeError("truncated encoding") from None
+    except RecursionError:
+        raise DecodeError("encoding nests too deeply to decode") from None
     if offset != len(data):
         raise DecodeError(f"{len(data) - offset} trailing bytes after value")
     return value

@@ -1,14 +1,14 @@
 """Commit-reveal lottery over a prime field.
 
 Clients additively secret-share their field-element secrets to the servers.
-Each server draws a random index contribution and a salt, publishes a
-commitment digest, and only after holding everyone's commitments opens first
-the salts and then the draws.  Every server verifies every opened pair against
-its commitment; the winning client index is the field sum of the draws modulo
-the client count, and the servers forward that client's shares to the analyst,
-who reconstructs the one chosen secret.  The commitment round is what stops
-the last server from steering the index: by the time anyone opens, every draw
-is pinned down.
+Each server draws a random index contribution below eight times the client
+count and a salt, publishes a commitment digest, and only after holding
+everyone's commitments opens first the salts and then the draws.  Every server
+verifies every opened pair against its commitment; the winning client index is
+the field sum of the draws modulo the client count, and the servers forward
+that client's shares to the analyst, who reconstructs the one chosen secret.
+The commitment round is what stops the last server from steering the index:
+by the time anyone opens, every draw is pinned down.
 
 The three openings are `gather` rounds among the servers, and the forward is
 a `gather` from the servers to the analyst.  The `Tamper` test hook perturbs
@@ -65,7 +65,6 @@ def lottery(
     clients: Census,
     analyst: str,
     secrets: Faceted,
-    draw_range: int | None = None,
     tamper: Tamper | None = None,
 ):
     """Reveal one randomly selected client secret to the analyst.
@@ -87,8 +86,7 @@ def lottery(
     servers_sub = b.subset(servers)
     clients_sub = b.subset(clients)
     server_names = servers.names
-    if draw_range is None:
-        draw_range = 8 * len(clients)
+    draw_range = 8 * len(clients)
 
     # Clients split their secrets additively; the last share makes the sum.
     def split(loc, un):

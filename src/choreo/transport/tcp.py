@@ -350,10 +350,7 @@ class TcpTransport:
             thread.join(timeout=_JOIN_TIMEOUT_S)
             if thread.is_alive():
                 raise TransportError(f"thread {thread.name} still alive after close")
-        for frm, peer in self._peers.items():
-            if peer.sock is None:
-                continue
-            if not peer.lock.acquire(timeout=_JOIN_TIMEOUT_S):
-                raise TransportError(f"a receive from {frm!r} still reads after close")
-            peer.sock.close()
-            peer.lock.release()
+        for peer in self._peers.values():  # each receive was failed and woken above
+            if peer.sock is not None:
+                with peer.lock:
+                    peer.sock.close()

@@ -52,12 +52,10 @@ def test_winning_index():
         assert 0 <= winning_index([13, 17, 19], n) < n
 
 
-def _run(seed, *, servers=3, clients=4, tamper=None, draw_range=None, inputs=None):
+def _run(seed, *, servers=3, clients=4, tamper=None, inputs=None):
     options = {"servers": servers, "clients": clients}
     if tamper:
         options["tamper"] = tamper
-    if draw_range:
-        options["draw_range"] = draw_range
     if inputs:
         options["inputs"] = inputs
     ex = build_example("lottery", **options)
@@ -78,9 +76,10 @@ def test_analyst_learns_the_predicted_secret():
                 assert report.result_view(name)["value"] == "?absent"
 
 
-def test_zero_draws_select_the_first_client():
-    # draw_range=1 forces every server's index contribution to zero
-    ex, report = _run(0, draw_range=1, inputs={"client1": [321]})
+def test_a_winning_index_of_zero_selects_the_first_client():
+    # at seed 18 the servers' draws sum to a multiple of the client count
+    assert expected_lottery_winner(18, ("server1", "server2", "server3"), 4) == 0
+    ex, report = _run(18, inputs={"client1": [321]})
     report.require_success()
     assert report.result_view("analyst")["value"] == 321
 

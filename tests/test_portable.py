@@ -88,6 +88,27 @@ def test_values_outside_the_grammar_raise_encode_error(value, text):
     assert str(info.value) == text
 
 
+def _nested_lists(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def test_deep_nesting_raises_the_codecs_own_errors():
+    # The codec recurses once per nesting level.  Running out of stack on 25 kB
+    # that a peer could send, or on a deep or cyclic value, is a codec error.
+    with pytest.raises(DecodeError, match="^encoding nests too deeply to decode$"):
+        decode(b"\x06\x00\x00\x00\x01" * 5000 + b"\x00")
+    cyclic = []
+    cyclic.append(cyclic)
+    for value in (_nested_lists(5000), cyclic):
+        with pytest.raises(EncodeError, match="^value nests too deeply to encode$"):
+            encode(value)
+    shallow = _nested_lists(200)
+    assert decode(encode(shallow)) == shallow
+
+
 def test_decode_rejects_malformed():
     with pytest.raises(DecodeError):
         decode(b"")

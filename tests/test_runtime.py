@@ -20,6 +20,7 @@ from choreo import (
     subset,
 )
 from choreo.errors import (
+    ChoreoError,
     CommitmentFailed,
     EmptyCensusError,
     StepBudgetExceeded,
@@ -38,6 +39,8 @@ from choreo.runtime import (
     check_fifo,
     check_value_agreement,
 )
+from choreo.runtime import simulate
+from choreo.runtime.endpoint import run_endpoint
 from choreo.runtime.simulate import _own_args
 from choreo.seeding import location_rng
 from choreo.transport import MessageRecord
@@ -99,6 +102,41 @@ def test_require_success_walks_the_endpoints_a_fragment_holds():
     fragment.endpoints["c"].error = CommitmentFailed("c failed")
     with pytest.raises(CommitmentFailed, match="c failed"):
         fragment.require_success()
+
+
+def _divides_by_zero(b, args):
+    return b.locally(b.member("only"), lambda un: 1 // 0)
+
+
+def test_require_success_names_the_endpoint_of_a_foreign_error():
+    report = run_simulated(_divides_by_zero, census_of(["only"]))
+    with pytest.raises(ChoreoError, match="^endpoint 'only' failed: ZeroDivisionError") as info:
+        report.require_success()
+    assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+
+def test_project_and_run_raises_the_endpoints_own_error():
+    with pytest.raises(ZeroDivisionError):
+        project_and_run(_divides_by_zero, census_of(["only"]), "only", _Silent())
+
+
+def test_an_endpoint_aborted_before_its_first_step_records_the_abort(monkeypatch):
+    # At seed 0 with a budget of one step, r's receive trips the budget before
+    # q's task has run once; q's log holds the abort all the same.
+    started = []
+
+    def recording(proc, census, name, *rest):
+        started.append(name)
+        return run_endpoint(proc, census, name, *rest)
+
+    def chor(b, args):
+        return b.multicast(b.member("p"), b.subset(["q", "r"]),
+                           b.locally(b.member("p"), lambda un: 1))
+
+    monkeypatch.setattr(simulate, "run_endpoint", recording)
+    report = run_simulated(chor, census_of(["p", "q", "r"]), seed=0, step_budget=1)
+    assert "q" not in started
+    assert isinstance(report.errors()["q"], StepBudgetExceeded)
 
 
 def test_projection_erasure_for_uninvolved_endpoint():
@@ -503,6 +541,25 @@ def test_a_recipient_changing_a_list_payload_leaves_the_senders_list(recipients,
 
     central, _ = run_agreeing(chor, THREE)
     assert central.result_view("a") == {"located": ["a"], "value": [1]}
+
+
+def test_a_body_changing_a_payload_its_co_owners_hold_disagrees_with_the_oracle():
+    # Negative control for the rule in ops.py: the oracle hands q and r one
+    # shared payload, so q's append reaches r there but not at an endpoint.
+    def chor(b, args):
+        at_p = b.locally(b.member("p"), lambda un: [1])
+        shared = b.multicast(b.member("p"), b.subset(["q", "r"]), at_p)
+        b.locally(b.member("q"), lambda un: un(shared).append(2))
+        size = b.locally(b.member("r"), lambda un: len(un(shared)))
+        return b.multicast(b.member("r"), b.subset(["p"]), size)
+
+    pqr = census_of(["p", "q", "r"])
+    for seed in range(3):
+        central = run_centralized(chor, pqr, seed=seed)
+        simulated = run_simulated(chor, pqr, seed=seed, audit=True)
+        assert central.result_view("p")["value"] == 2
+        assert simulated.result_view("p")["value"] == 1
+        assert compare_runs(central, simulated) == ["results differ at p"]
 
 
 class _Level(enum.IntEnum):

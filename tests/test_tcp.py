@@ -17,6 +17,7 @@ from choreo.errors import DecodeError, TransportError
 from choreo.examples import ExampleRun, build_example
 from choreo.located import Quire
 from choreo.portable import encode
+from choreo.runtime import simulate
 from choreo.transport import TcpTransport, free_port
 from choreo.transport.tcp import (
     FRAME_LIMIT,
@@ -210,6 +211,24 @@ def test_a_failing_run_over_tcp_is_data():
     assert "r" not in errors and report.result_view("r") is not None
     assert sorted((m.sender, m.receiver) for m in report.messages) == [("p", "q"), ("r", "q")]
     assert [t for t in threading.enumerate() if t not in before] == []
+
+
+def test_run_over_tcp_closes_every_bound_endpoint_when_a_later_one_cannot_bind(monkeypatch):
+    holder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)  # holds q's port
+    holder.bind(("127.0.0.1", 0))
+    holder.listen()
+    first = free_port()
+    ports = iter([first, holder.getsockname()[1], free_port()])
+    monkeypatch.setattr(simulate, "free_port", lambda: next(ports))
+    before = set(threading.enumerate())
+    try:
+        with pytest.raises(TransportError, match="^cannot listen as 'q'"):
+            run_over_tcp(_fails_between_two_sends, census_of(["p", "q", "r"]))
+        assert [t for t in threading.enumerate() if t not in before] == []
+        with pytest.raises(OSError):  # p's listener is closed
+            socket.create_connection(("127.0.0.1", first), timeout=1.0).close()
+    finally:
+        holder.close()
 
 
 def test_close_stops_the_acceptor_and_the_listener():
@@ -433,6 +452,46 @@ def test_a_second_connection_naming_a_sender_fails_its_receives():
                 _recv_fails_within(tb, "a", "a second connection from 'a'")
     finally:
         tb.close()
+
+
+def test_a_later_frame_naming_another_sender_fails_that_peers_receives():
+    book = {n: f"127.0.0.1:{free_port()}" for n in ("a", "b", "c")}
+    tb = TcpTransport("b", book, recv_timeout=5)
+    try:
+        with socket.create_connection(("127.0.0.1", tb.port)) as raw:
+            write_frame(raw, pack_envelope("a", 0, b"x"))
+            write_frame(raw, pack_envelope("c", 1, b"y"))
+            assert tb.recv("a") == b"x"
+            _recv_fails_within(tb, "a", "frame from 'c' on the connection of 'a'")
+            _recv_fails_within(tb, "a", "frame from 'c' on the connection of 'a'")
+    finally:
+        tb.close()
+
+
+def test_a_peer_closing_mid_frame_fails_the_receive():
+    book = {"a": f"127.0.0.1:{free_port()}", "b": f"127.0.0.1:{free_port()}"}
+    tb = TcpTransport("b", book, recv_timeout=5)
+    try:
+        with socket.create_connection(("127.0.0.1", tb.port)) as raw:
+            write_frame(raw, pack_envelope("a", 0, b"whole"))
+            payload = pack_envelope("a", 1, b"cut short")
+            raw.sendall((struct.pack(">I", len(payload)) + payload)[:-3])
+        assert tb.recv("a") == b"whole"
+        _recv_fails_within(tb, "a", "connection closed mid-frame")
+    finally:
+        tb.close()
+
+
+def test_a_send_to_an_address_where_nothing_listens_fails_after_the_connect_timeout():
+    book = {"a": f"127.0.0.1:{free_port()}", "b": f"127.0.0.1:{free_port()}"}
+    ta = TcpTransport("a", book, connect_timeout=0.3)
+    try:
+        started = time.monotonic()
+        with pytest.raises(TransportError, match="^cannot connect to 'b' at 127.0.0.1:"):
+            ta.send("b", b"x")
+        assert 0.3 <= time.monotonic() - started < 2.0
+    finally:
+        ta.close()
 
 
 def test_every_pair_stays_in_order_under_thread_contention():
