@@ -22,8 +22,6 @@ from .ops import Choreography, OperatorBundle, Unwrapper
 from .portable import Variant, decode, encode
 from .runtime import (
     RunReport,
-    check_branch_agreement,
-    check_fifo,
     check_value_agreement,
     project_and_run,
     run_centralized,
@@ -51,8 +49,6 @@ __all__ = [
     "Unwrapper",
     "Variant",
     "census_of",
-    "check_branch_agreement",
-    "check_fifo",
     "check_value_agreement",
     "compose",
     "decode",

@@ -139,7 +139,7 @@ def _cmd_run(ns) -> int:
         if ns.role not in ex.census.names:
             raise ConfigError(f"--role {ns.role!r} is not in census {list(ex.census.names)}")
         book = _load_address_book(ns.config, ex.census.names)
-        proc = run_proc(ex.choreography, ex.census)
+        proc = run_proc(ex.choreography, ex.census, inputs=ex.inputs)
         transport = TcpTransport(ns.role, book, recv_timeout=ns.recv_timeout)
         log = EndpointLog(ns.role)
         sent = run_endpoint(proc, ex.census, ns.role, transport, ex.args, ns.seed, ex.inputs, log)

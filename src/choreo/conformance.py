@@ -5,10 +5,10 @@ nonzero on any failure; the acceptance tests in tests/test_acceptance.py call
 the same suites and assert that they pass, so each criterion is checked here
 and nowhere else.
 
-`compare_runs` is the one statement of a projected run's agreement with the
-oracle, for simulated runs and for runs over TCP.
-The runs it reads, and the lottery suite's, record the value audit
-(`audit=True`); the other suites, `gmw_check` included, leave it off.
+`compare_runs` is the one agreement check of a projected run, simulated or
+over TCP, against the oracle.  The runs it reads, and the lottery suite's,
+record the value audit (`audit=True`); the other suites, `gmw_check`
+included, leave it off.
 """
 
 from __future__ import annotations
@@ -24,15 +24,9 @@ from .ops import Choreography
 from .protocols import gmw as G
 from .protocols.kvs import Get, Put, reference_responses
 from .protocols.lottery import FIELD_MODULUS, Tamper
-from .runtime import (
-    RunReport,
-    check_branch_agreement,
-    check_fifo,
-    check_value_agreement,
-    run_centralized,
-    run_simulated,
-)
+from .runtime import RunReport, check_value_agreement, run_centralized, run_simulated
 from .seeding import location_rng
+from .transport import MessageRecord
 
 MIXED_SCRIPT = [Put("a", 7), Get("a"), Put("a", 9), Get("missing"), Get("a")]
 
@@ -69,21 +63,36 @@ def _equivalence_examples() -> list[ExampleRun]:
     ]
 
 
+def _by_pair(messages: list[MessageRecord]) -> dict[tuple[str, str], list[MessageRecord]]:
+    """Each ordered (sender, receiver) pair's messages, in send order."""
+    pairs: dict[tuple[str, str], list[MessageRecord]] = {}
+    for m in sorted(messages, key=lambda m: m.t_send):
+        pairs.setdefault((m.sender, m.receiver), []).append(m)
+    return pairs
+
+
 def compare_runs(central: RunReport, projected: RunReport) -> list[str]:
-    """Results, branch logs and message count equal the oracle's, and the
-    audited projected run passes the value, FIFO and branch checks."""
+    """Each endpoint's result and branch log, and each ordered pair's
+    `(seq, nbytes)` list in send order, equal the oracle's; per pair,
+    consumption follows seq order where `t_recv` is stamped; and the
+    audited projected run passes `check_value_agreement`.  The oracle logs a
+    branch at exactly the members of its census, so equal branch logs also
+    mean that every census's members logged the same outcomes."""
     problems = []
     for name in central.census_names:
         if central.result_view(name) != projected.result_view(name):
             problems.append(f"results differ at {name}")
         if central.branch_outcomes(name) != projected.branch_outcomes(name):
             problems.append(f"branch logs differ at {name}")
-    if len(central.messages) != len(projected.messages):
-        problems.append("message counts differ")
-    problems += check_value_agreement(projected)
-    problems += check_fifo(projected)
-    problems += check_branch_agreement(projected)
-    return problems
+    expected, got = _by_pair(central.messages), _by_pair(projected.messages)
+    for pair in sorted(expected.keys() | got.keys()):
+        oracle, records = expected.get(pair, []), got.get(pair, [])
+        if [(m.seq, m.nbytes) for m in oracle] != [(m.seq, m.nbytes) for m in records]:
+            problems.append(f"{pair}: messages differ from the oracle's")
+        ts = [m.t_recv for m in sorted(records, key=lambda m: m.seq) if m.t_recv is not None]
+        if ts != sorted(ts):
+            problems.append(f"{pair}: consumption order violates FIFO")
+    return problems + check_value_agreement(projected)
 
 
 def suite_oracle_equivalence() -> SuiteResult:

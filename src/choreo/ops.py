@@ -55,6 +55,8 @@ else.  State reached through a closure or a module global is not isolated.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from types import FunctionType
@@ -173,12 +175,34 @@ def _check_declared(c: Choreography, census: Census, verb: str) -> None:
         )
 
 
-def run_proc(c: Any, census: Census) -> Callable[["OperatorBundle", Any], Any]:
+def _immutable(value: Any) -> bool:
+    """Built only from None, bool, int, str, tuples, frozensets and frozen
+    dataclasses, so no body can change it."""
+    if type(value) in (tuple, frozenset):
+        return all(map(_immutable, value))
+    if getattr(getattr(type(value), "__dataclass_params__", None), "frozen", False):
+        return all(_immutable(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return value is None or type(value) in (bool, int, str)
+
+
+def run_proc(
+    c: Any, census: Census, args: Any = None, inputs: dict | None = None
+) -> Callable[["OperatorBundle", Any], Any]:
     """The procedure a run under `census` calls: a Choreography's, once the
-    census it declares (if any) is checked, or `c` itself.  Raises
-    EmptyCensusError for an empty run census."""
+    census it declares (if any) is checked, or `c` itself.  Before any
+    endpoint starts it raises EmptyCensusError for an empty run census, and
+    ContractError for an input stream of a location outside the census or
+    for `args` that could not be deep-copied for each endpoint."""
     if not census:
         raise EmptyCensusError("a run census must contain at least one location")
+    strays = [name for name in inputs or () if name not in census._positions]
+    if strays:
+        raise ContractError(f"input stream for {strays[0]!r}, not in census {census.names}")
+    if not _immutable(args):  # a trial copy, since the oracle never copies `args`
+        try:
+            copy.deepcopy(args)
+        except (TypeError, copy.Error) as exc:
+            raise ContractError(f"args of type {type(args).__name__} cannot be copied: {exc}")
     if isinstance(c, Choreography):
         _check_declared(c, census, "got")
         return c.proc

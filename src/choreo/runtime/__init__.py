@@ -7,8 +7,6 @@ from .report import (
     EndpointLog,
     RunReport,
     ValueRecord,
-    check_branch_agreement,
-    check_fifo,
     check_value_agreement,
 )
 from .simulate import run_over_tcp, run_simulated
@@ -25,8 +23,6 @@ __all__ = [
     "EndpointLog",
     "BranchRecord",
     "ValueRecord",
-    "check_branch_agreement",
-    "check_fifo",
     "check_value_agreement",
     "view",
     "view_json",

@@ -134,7 +134,7 @@ def run_centralized(
     depend on X from those that do not.  The simulator lets independent
     endpoints finish.
     """
-    proc = run_proc(c, census)
+    proc = run_proc(c, census, args, inputs)
     state = _CentralState(census, seed, inputs or {})
     bundle = CentralBundle(state, census)
     report = RunReport(census.names, state.logs, state.messages)

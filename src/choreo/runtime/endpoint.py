@@ -202,7 +202,7 @@ def project_and_run(
     """
     if self_name not in census:
         raise WitnessMismatchError(f"{self_name!r} is not in census {census.names}")
-    proc, log = run_proc(c, census), EndpointLog(self_name)
+    proc, log = run_proc(c, census, inputs=inputs), EndpointLog(self_name)
     sent = run_endpoint(proc, census, self_name, transport, args, seed, inputs, log, audit)
     if log.error is not None:
         raise log.error

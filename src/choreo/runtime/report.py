@@ -1,5 +1,6 @@
-"""Run reports: per-endpoint results, message log, branch log, and the
-bookkeeping the invariants are checked against.
+"""Run reports: per-endpoint results, message log, branch log and value
+audit, and `check_value_agreement`, which `conformance.compare_runs` and the
+lottery suite call.
 
 Serialized form (golden-file friendly): one `MSG sender receiver bytes t`
 line per message in send order, then one `BRANCH endpoint site outcome` line
@@ -115,51 +116,6 @@ class RunReport:
 
 def _site(sig: tuple[str, ...], index: int) -> str:
     return "+".join(sig).replace(" ", "_") + f"#{index}"
-
-
-def check_fifo(report: RunReport) -> list[str]:
-    """Per ordered pair, delivered seq values must be 0,1,2,... with no gaps,
-    and consumption order must follow send order.
-
-    The consumption-order half reads `t_recv`, which only the oracle and the
-    simulator stamp.  Over TCP it checks seq numbering alone: there the
-    transport enforces per-pair order on arrival, failing the receive on a
-    gap or duplicate seq."""
-    problems = []
-    by_pair: dict[tuple[str, str], list[MessageRecord]] = {}
-    for m in report.messages:
-        by_pair.setdefault((m.sender, m.receiver), []).append(m)
-    for pair, records in sorted(by_pair.items()):
-        records.sort(key=lambda m: m.t_send)
-        for i, m in enumerate(records):
-            if m.seq != i:
-                problems.append(f"{pair}: send #{i} has seq {m.seq}")
-        consumed = [m for m in records if m.t_recv is not None]
-        ts = [m.t_recv for m in sorted(consumed, key=lambda m: m.seq)]
-        if ts != sorted(ts):
-            problems.append(f"{pair}: consumption order violates FIFO")
-    return problems
-
-
-def check_branch_agreement(report: RunReport) -> list[str]:
-    """Knowledge-of-choice discipline: within every (possibly enclaved) census
-    that evaluated branch decisions, exactly its members logged outcomes, and
-    they logged identical sequences."""
-    problems = []
-    per_sig: dict[tuple[str, ...], dict[str, list[bytes]]] = {}
-    for name, log in report.endpoints.items():
-        for rec in log.branches:
-            per_sig.setdefault(rec.sig, {}).setdefault(name, []).append(rec.outcome)
-    for sig, by_endpoint in sorted(per_sig.items()):
-        problems += [f"{n} logged branch outcomes for census {sig} it is not in"
-                     for n in by_endpoint if n not in sig]
-        sequences = {tuple(seq) for seq in by_endpoint.values()}
-        if len(sequences) > 1:
-            problems.append(f"branch outcomes disagree within census {sig}")
-        missing = [n for n in sig if n not in by_endpoint]
-        if missing and len(by_endpoint) > 0:
-            problems.append(f"{missing[0]} logged no branch outcomes for census {sig}")
-    return problems
 
 
 def check_value_agreement(report: RunReport) -> list[str]:

@@ -6,26 +6,15 @@ and each endpoint runs on its own copy of the run's `args`."""
 from __future__ import annotations
 
 import copy
-import dataclasses
 import threading
 from typing import Any
 
 from ..errors import TransportError
 from ..locations import Census
-from ..ops import run_proc
+from ..ops import _immutable, run_proc
 from ..transport import SimNet, TcpTransport, free_port
 from .endpoint import run_endpoint
 from .report import EndpointLog, RunReport
-
-
-def _immutable(value: Any) -> bool:
-    """Built only from None, bool, int, str, tuples, frozensets and frozen
-    dataclasses, so no body can change it."""
-    if type(value) in (tuple, frozenset):
-        return all(map(_immutable, value))
-    if getattr(getattr(type(value), "__dataclass_params__", None), "frozen", False):
-        return all(_immutable(getattr(value, f.name)) for f in dataclasses.fields(value))
-    return value is None or type(value) in (bool, int, str)
 
 
 def _own_args(args: Any, names: tuple[str, ...]) -> dict[str, Any]:
@@ -52,7 +41,7 @@ def run_simulated(
     also records its value audit, which `check_value_agreement` needs;
     without it only branches and messages are kept.
     """
-    proc = run_proc(c, census)
+    proc = run_proc(c, census, args, inputs)
     net = SimNet(census.names, seed=seed, step_budget=step_budget)
     logs = {name: EndpointLog(name) for name in census.names}
     own = _own_args(args, census.names)
@@ -76,7 +65,7 @@ def run_over_tcp(
     `TcpTransport` on a free loopback port.  All are bound before any starts
     (a failed bind raises TransportError); each closes its transport as soon
     as it ends, so a receive from it fails at once; all have ended on return."""
-    proc = run_proc(c, census)
+    proc = run_proc(c, census, args, inputs)
     own = _own_args(args, census.names)
     book = {name: f"127.0.0.1:{free_port()}" for name in census.names}
     transports = []

@@ -63,8 +63,12 @@ def view_json(v: Any) -> str:
 
 
 def canonical_bytes(value: Any) -> bytes:
-    """Deterministic bytes for a naked value, used for branch-outcome logs."""
-    return try_encode(value) or view_json(view(value, None)).encode("utf-8")
+    """Deterministic bytes for a naked value, used for branch-outcome logs.
+    Raises EncodeError for a value that nests too deeply for its JSON view."""
+    try:
+        return try_encode(value) or view_json(view(value, None)).encode("utf-8")
+    except RecursionError:
+        raise EncodeError("value nests too deeply to log as a branch outcome") from None
 
 
 def try_encode(value: Any) -> bytes | None:

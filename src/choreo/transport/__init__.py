@@ -18,9 +18,9 @@ class MessageRecord:
     """One message as seen by the instrumentation.
 
     `t_send` is the logical timestamp serialized in reports.  The oracle and
-    the simulator also stamp delivery and consumption times, which the
-    consumption-order half of `check_fifo` uses; TCP runs leave them None,
-    because the TCP transport enforces per-pair order itself on arrival.
+    the simulator also stamp delivery and consumption times, which
+    `conformance.compare_runs` reads to check per-pair consumption order; TCP
+    runs leave them None: the TCP transport enforces that order on arrival.
     """
 
     sender: str

@@ -1,5 +1,6 @@
 """Shared helpers: run a choreography under both interpreters and require
-that the simulated run agrees with the oracle."""
+that the simulated run agrees with the oracle, or require that a run failed
+at every endpoint."""
 
 from choreo import run_centralized, run_simulated
 from choreo.conformance import compare_runs
@@ -16,3 +17,10 @@ def run_agreeing(proc, census, args=None, seed=0, inputs=None):
     assert compare_runs(central, simulated) == []
     return central, simulated
 
+
+def fails_everywhere(report, error):
+    """Every endpoint of the run ended with an `error`: a run with no error
+    at some endpoint fails this, as one with no error at all does."""
+    errors = report.errors()
+    assert set(errors) == set(report.census_names)
+    assert all(isinstance(e, error) for e in errors.values()), errors

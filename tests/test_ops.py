@@ -4,7 +4,7 @@ agreement for each operator of the bundle."""
 from functools import partial
 
 import pytest
-from conftest import run_agreeing
+from conftest import fails_everywhere, run_agreeing
 
 from choreo import (
     Census,
@@ -33,12 +33,6 @@ PCH = census_of(["p", "q", "r"])
 RUNNERS = pytest.mark.parametrize(
     "run", [run_centralized, run_simulated], ids=["run_centralized", "run_simulated"]
 )
-
-
-def _fails_everywhere(report, error):
-    errors = report.errors()
-    assert set(errors) == set(report.census_names)
-    assert all(isinstance(e, error) for e in errors.values()), errors
 
 
 def test_locally_constant_no_messages():
@@ -95,13 +89,13 @@ def test_multicast_requires_ownership_and_recipients(run):
         v = b.locally(b.member("q"), lambda un: 1)
         return b.multicast(b.member("p"), b.everyone(), v)
 
-    _fails_everywhere(run(not_owner, PCH), NotAnOwnerError)
+    fails_everywhere(run(not_owner, PCH), NotAnOwnerError)
 
     def nobody(b, args):
         v = b.locally(b.member("p"), lambda un: 1)
         return b.multicast(b.member("p"), b.subset([]), v)
 
-    _fails_everywhere(run(nobody, PCH), EmptyCensusError)
+    fails_everywhere(run(nobody, PCH), EmptyCensusError)
 
 
 def test_broadcast_counts():
@@ -129,7 +123,7 @@ def test_naked_requires_census_ownership(run):
         v = b.locally(b.member("p"), lambda un: 5)
         return b.naked(v)
 
-    _fails_everywhere(run(chor, PCH), CensusNotOwnedError)
+    fails_everywhere(run(chor, PCH), CensusNotOwnedError)
 
     def ok(b, args):
         v = b.locally(b.member("p"), lambda un: 5)
@@ -222,8 +216,7 @@ def test_replicated_agreement_and_scope():
         v = b.locally(b.member("p"), lambda un: 6)
         return b.replicated(lambda un: un(v))
 
-    report = run_centralized(bad, PCH)
-    assert all(isinstance(e, UnwrapAbsentError) for e in report.errors().values())
+    fails_everywhere(run_centralized(bad, PCH), UnwrapAbsentError)
 
 
 def test_replicated_divergence_is_caught():
@@ -232,8 +225,7 @@ def test_replicated_divergence_is_caught():
     def impure(b, args):
         return b.replicated(lambda un: next(counter))
 
-    report = run_centralized(impure, PCH)
-    assert all(isinstance(e, ContractError) for e in report.errors().values())
+    fails_everywhere(run_centralized(impure, PCH), ContractError)
 
 
 def test_fanout_empty_and_constant():
@@ -414,7 +406,7 @@ def test_witness_must_match_bundle_census(run):
 
         return b.locally(member("p", other), lambda un: 1)
 
-    _fails_everywhere(run(chor, PCH), WitnessMismatchError)
+    fails_everywhere(run(chor, PCH), WitnessMismatchError)
 
 
 def _shared(b):
@@ -526,7 +518,7 @@ def _replicated_unwraps_a_faceted_value(b, args):
     ],
 )
 def test_contract_violations_fail_at_every_endpoint(run, chor, error):
-    _fails_everywhere(run(chor, PCH), error)
+    fails_everywhere(run(chor, PCH), error)
 
 
 @RUNNERS
@@ -544,12 +536,12 @@ def test_reshaping_takes_only_subset_witnesses(run):
     def flatten_census(b, args):
         return b.flatten(b.census, b.census, _nested(b))
 
-    _fails_everywhere(run(flatten_census, PCH), WitnessMismatchError)
+    fails_everywhere(run(flatten_census, PCH), WitnessMismatchError)
 
     def forget_to_member(b, args):
         return b.others_forget(b.member("p"), _shared(b))
 
-    _fails_everywhere(run(forget_to_member, PCH), WitnessMismatchError)
+    fails_everywhere(run(forget_to_member, PCH), WitnessMismatchError)
 
 
 def test_declared_census_must_match_the_run():
@@ -571,7 +563,7 @@ def test_declared_census_must_match_the_run():
     for members, declared in ((["p", "q", "r"], other), (["p", "q"], PCH)):
         for run in (run_centralized, run_simulated):
             report = run(enclave_of_declared(members, declared), PCH)
-            _fails_everywhere(report, WitnessMismatchError)
+            fails_everywhere(report, WitnessMismatchError)
             under = f"running under {tuple(members)}"
             assert all(under in str(e) for e in report.errors().values())
 

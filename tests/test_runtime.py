@@ -4,6 +4,7 @@ catching real divergence."""
 
 import enum
 import hashlib
+import threading
 from functools import partial
 from typing import NamedTuple
 
@@ -22,7 +23,9 @@ from choreo import (
 from choreo.errors import (
     ChoreoError,
     CommitmentFailed,
+    ContractError,
     EmptyCensusError,
+    EncodeError,
     StepBudgetExceeded,
     WitnessMismatchError,
 )
@@ -35,8 +38,6 @@ from choreo.runtime import (
     EndpointLog,
     RunReport,
     ValueRecord,
-    check_branch_agreement,
-    check_fifo,
     check_value_agreement,
 )
 from choreo.runtime import simulate
@@ -340,38 +341,48 @@ def _report(messages=(), branches=None, values=None, results=None):
     return RunReport(AB, logs, list(messages))
 
 
+# the oracle's record of two one-byte messages from a to b
+_PAIR_AB = [MessageRecord("a", "b", 1, seq, t_send=seq, t_recv=seq) for seq in (0, 1)]
+
+
 def _mlv(owners, state, payload):
     return ValueRecord(AB, 0, "mlv", owners, state, payload)
 
 
 @pytest.mark.parametrize("check, report, problem", [
     pytest.param(
-        check_fifo,
+        partial(compare_runs, _report(messages=_PAIR_AB)),
         _report(messages=[MessageRecord("a", "b", 1, 0, t_send=0, t_recv=2),
                           MessageRecord("a", "b", 1, 2, t_send=1, t_recv=3)]),
-        "('a', 'b'): send #1 has seq 2",
+        "('a', 'b'): messages differ from the oracle's",
         id="fifo-seq-gap"),
     pytest.param(
-        check_fifo,
+        partial(compare_runs, _report(messages=_PAIR_AB)),
         _report(messages=[MessageRecord("a", "b", 1, 0, t_send=0, t_recv=5),
                           MessageRecord("a", "b", 1, 1, t_send=1, t_recv=3)]),
         "('a', 'b'): consumption order violates FIFO",
         id="fifo-consumed-out-of-order"),
     pytest.param(
-        check_branch_agreement,
+        partial(compare_runs, _report(messages=_PAIR_AB)),
+        _report(messages=[MessageRecord("a", "b", 1, 0, t_send=0, t_recv=2),
+                          MessageRecord("a", "b", 2, 1, t_send=1, t_recv=3)]),
+        "('a', 'b'): messages differ from the oracle's",
+        id="second-message-size-differs"),
+    pytest.param(
+        partial(compare_runs, _report(branches={n: [BranchRecord(AB, 0, b"\x01")] for n in AB})),
         _report(branches={"a": [BranchRecord(AB, 0, b"\x01")],
                           "b": [BranchRecord(AB, 0, b"\x02")]}),
-        "branch outcomes disagree within census ('a', 'b')",
+        "branch logs differ at b",
         id="branch-outcomes-disagree"),
     pytest.param(
-        check_branch_agreement,
+        partial(compare_runs, _report(branches={n: [BranchRecord(AB, 0, b"\x01")] for n in AB})),
         _report(branches={"a": [BranchRecord(AB, 0, b"\x01")]}),
-        "b logged no branch outcomes for census ('a', 'b')",
+        "branch logs differ at b",
         id="branch-member-logged-none"),
     pytest.param(
-        check_branch_agreement,
+        partial(compare_runs, _report(branches={"a": [BranchRecord(("a",), 0, b"\x01")]})),
         _report(branches={n: [BranchRecord(("a",), 0, b"\x01")] for n in AB}),
-        "b logged branch outcomes for census ('a',) it is not in",
+        "branch logs differ at b",
         id="branch-record-outside-its-census"),
     pytest.param(
         check_value_agreement,
@@ -422,7 +433,7 @@ def _mlv(owners, state, payload):
     pytest.param(
         partial(compare_runs, _report()),
         _report(messages=[MessageRecord("a", "b", 1, 0, t_send=0)]),
-        "message counts differ",
+        "('a', 'b'): messages differ from the oracle's",
         id="oracle-message-counts-differ"),
 ])
 def test_invariant_checks_report_each_problem(check, report, problem):
@@ -527,6 +538,47 @@ def test_a_naked_value_outside_the_grammar_logs_its_json_view():
     assert all(log == logs[0] for log in logs)
     assert [record.outcome for record in logs[0]] == [b'"\\ud800"']
     assert central.result_view("a") == "\ud800"
+
+
+@pytest.mark.parametrize("run", [run_centralized, run_simulated])
+def test_a_naked_value_too_deep_for_its_json_view_is_an_encode_error(run):
+    # neither the codec nor the JSON fallback can nest 5,000 deep
+    deep = []
+    for _ in range(5000):
+        deep = [deep]
+
+    def chor(b, args):
+        b.naked(b.locally(b.member("a"), lambda un: deep))
+
+    report = run(chor, census_of(["a"]))
+    assert isinstance(report.errors()["a"], EncodeError)
+
+
+def _counts_starts(started):
+    def chor(b, args):
+        started.append(b.census)
+        return b.locally(b.member("a"), lambda un: 1)
+
+    return chor
+
+
+@pytest.mark.parametrize("run", [run_centralized, run_simulated, run_over_tcp])
+def test_args_that_cannot_be_copied_are_rejected_before_any_endpoint_starts(run):
+    started = []
+    with pytest.raises(ContractError, match="args of type list cannot be copied"):
+        run(_counts_starts(started), THREE, [threading.Lock()])
+    assert started == []
+
+
+@pytest.mark.parametrize("run", [
+    run_centralized, run_simulated, run_over_tcp,
+    lambda chor, census, inputs: project_and_run(chor, census, "a", None, inputs=inputs),
+], ids=["centralized", "simulated", "tcp", "project_and_run"])
+def test_an_input_stream_outside_the_census_is_rejected_before_any_endpoint_starts(run):
+    started = []
+    with pytest.raises(ContractError, match="input stream for 'z', not in census"):
+        run(_counts_starts(started), THREE, inputs={"a": [1], "z": [2]})
+    assert started == []
 
 
 @pytest.mark.parametrize("recipients, mutator", [(["b"], "b"), (["a", "b"], "a")])
